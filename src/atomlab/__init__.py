@@ -10,7 +10,6 @@ from .atom_action import (
     GroupSubspace,
     HFObject,
     HFTuple,
-    PartitionCell,
     act_atom,
     act_hf,
     atom,
@@ -22,13 +21,11 @@ from .atom_action import (
     leaf,
     orbit,
     pair,
-    partition_at_horizon,
     pointwise_stabilizer,
     stabilizer_in,
     to_kuratowski,
 )
 from .counterexample import (
-    ChoiceSelection,
     PairTower,
     RefutationReport,
     build_tower,
@@ -43,7 +40,6 @@ from .errors import (
     WindowExhaustedError,
 )
 from .fp_core import (
-    FpScalar,
     Subspace,
     Vector,
     complement_within,
@@ -51,13 +47,11 @@ from .fp_core import (
     project_prefix,
     span_of,
     unit,
-    vector_combine,
     zero_vector,
 )
 from .supports import (
     ReductionStep,
     ReductionTrace,
-    SupportClaim,
     find_small_support,
     is_support,
     reduce_support_step,

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator
 from .errors import InternalConsistencyError, ResourceError, UsageError
 from .fp_core import (
     DEFAULT_ENUM_CAP,
-    FpScalar,
     Subspace,
     Vector,
     check_prime,
@@ -31,21 +30,23 @@ from .fp_core import (
 
 @dataclass(frozen=True)
 class Atom:
-    """An element (a, w) of the atom space F_p x W."""
+    """An element (a, w) of the atom space F_p x W; ``a`` is kept mod p."""
 
-    a: FpScalar
+    a: int
     w: Vector
 
     def __post_init__(self):
-        if self.a.p != self.w.p:
-            raise UsageError(f"mixed moduli {self.a.p} and {self.w.p}")
+        if not isinstance(self.a, int):
+            kind = type(self.a).__name__
+            raise UsageError(f"atom residue must be an int, got {kind}")
+        object.__setattr__(self, "a", self.a % self.w.p)
 
     @property
     def p(self) -> int:
         return self.w.p
 
     def to_text(self, zero: str = "") -> str:
-        return f"({self.a.value}|{self.w.to_text(zero=zero)})"
+        return f"({self.a}|{self.w.to_text(zero=zero)})"
 
     @classmethod
     def from_text(cls, text: str, p: int) -> "Atom":
@@ -57,15 +58,13 @@ class Atom:
             a = int(a_s)
         except ValueError:
             raise UsageError(f"bad atom residue {a_s!r}") from None
-        return cls(FpScalar(a, p), Vector.from_text(w_s, p))
+        return cls(a, Vector.from_text(w_s, p))
 
     def __repr__(self):
         return self.to_text(zero="∅")
 
 
-def atom(a: int, w: Vector) -> Atom:
-    """Shorthand constructor taking a plain residue."""
-    return Atom(FpScalar(a, w.p), w)
+atom = Atom  # lower-case shorthand
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def act_atom(x: Atom, g: GroupElement) -> Atom:
     s = x.w.dot_dense(g.coords)
     if s == 0:
         return x
-    return Atom(FpScalar(x.a.value + s, x.p), x.w)
+    return Atom(x.a + s, x.w)
 
 
 def fixes_at(g: GroupElement, vectors: Iterable[Vector]) -> bool:
@@ -182,7 +181,7 @@ class GroupSubspace:
 
     @classmethod
     def full(cls, p: int, horizon: int) -> "GroupSubspace":
-        return cls(horizon, span_of((Vector(p, ((i, 1),)) for i in range(horizon)), p))
+        return cls(horizon, span_of((unit(p, i) for i in range(horizon)), p))
 
     @classmethod
     def trivial(cls, p: int, horizon: int) -> "GroupSubspace":
@@ -248,147 +247,170 @@ def pointwise_stabilizer(
 
 
 class HFObject:
-    """Base class: an atom leaf, a canonical finite set, or a tuple."""
+    """Base class: an atom leaf, a canonical finite set, or a tuple.
 
-    __slots__ = ()
+    A node is immutable; its content (the atom, or the children) sits in
+    ``_data``, and equality and hashing compare the kind and the content.
+    Each kind implements the action, the atom listing, the sort key and
+    the JSON form once, reached through ``act_hf``, ``atoms_of``,
+    ``sort_key`` and ``hf_to_json``.
+    """
+
+    __slots__ = ("_data", "_hash")
+    _tag = -1
+
+    def __init__(self, data):
+        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_hash", hash((self._tag, data)))
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return other is self or (
+            type(other) is type(self)
+            and self._hash == other._hash
+            and self._data == other._data
+        )
+
+    def __hash__(self):
+        return self._hash
 
 
 class AtomLeaf(HFObject):
-    __slots__ = ("atom", "_hash")
+    __slots__ = ()
+    _tag = 0
 
     def __init__(self, a: Atom):
         if not isinstance(a, Atom):
             raise UsageError(f"AtomLeaf wraps an Atom, got {type(a).__name__}")
-        object.__setattr__(self, "atom", a)
-        object.__setattr__(self, "_hash", hash((0, a)))
+        super().__init__(a)
 
-    def __setattr__(self, *_):
-        raise AttributeError("AtomLeaf is immutable")
+    @property
+    def atom(self) -> Atom:
+        return self._data
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AtomLeaf)
-            and self._hash == other._hash
-            and self.atom == other.atom
-        )
+    def _act(self, g: GroupElement) -> "AtomLeaf":
+        moved = act_atom(self._data, g)
+        return self if moved is self._data else AtomLeaf(moved)
 
-    def __hash__(self):
-        return self._hash
+    def _atoms(self) -> Iterator[Atom]:
+        yield self._data
 
-    def __repr__(self):
-        return repr(self.atom)
+    def _sort_key(self):
+        return (0, self._data.a, self._data.w.sort_key())
 
-
-class FiniteSet(HFObject):
-    """Duplicate-free, order-insensitive collection of HF objects."""
-
-    __slots__ = ("members", "_hash")
-
-    def __init__(self, members: Iterable[HFObject] = ()):
-        ms = frozenset(members)
-        for m in ms:
-            if not isinstance(m, HFObject):
-                raise UsageError(f"set member must be HFObject, got {type(m).__name__}")
-        object.__setattr__(self, "members", ms)
-        object.__setattr__(self, "_hash", hash((1, ms)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("FiniteSet is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteSet)
-            and self._hash == other._hash
-            and self.members == other.members
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, item):
-        return item in self.members
-
-    def sorted_members(self) -> list[HFObject]:
-        return sorted(self.members, key=sort_key)
+    def _json(self):
+        return {"atom": self._data.to_text()}
 
     def __repr__(self):
-        return "{" + ", ".join(repr(m) for m in self.sorted_members()) + "}"
+        return repr(self._data)
 
 
-class HFTuple(HFObject):
-    """Ordered tuple of HF objects; equality is positional."""
+class _Collection(HFObject):
+    """What sets and tuples share; ``_data`` holds the children."""
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ()
+    _kind: str  # the JSON key
+    _brackets: str
+    _sorted = False  # canonical order is sort-key order, not storage order
 
-    def __init__(self, items: Iterable[HFObject]):
-        it = tuple(items)
-        for m in it:
+    def __init__(self, children):
+        for m in children:
             if not isinstance(m, HFObject):
                 raise UsageError(
-                    f"tuple item must be HFObject, got {type(m).__name__}"
+                    f"{self._kind} member must be HFObject, got {type(m).__name__}"
                 )
-        object.__setattr__(self, "items", it)
-        object.__setattr__(self, "_hash", hash((2, it)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("HFTuple is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HFTuple)
-            and self._hash == other._hash
-            and self.items == other.items
-        )
-
-    def __hash__(self):
-        return self._hash
+        super().__init__(children)
 
     def __len__(self):
-        return len(self.items)
+        return len(self._data)
 
     def __iter__(self):
-        return iter(self.items)
+        return iter(self._data)
+
+    def _ordered(self) -> list[HFObject]:
+        return sorted(self._data, key=sort_key) if self._sorted else list(self._data)
+
+    def _act(self, g: GroupElement) -> "_Collection":
+        moved = [m._act(g) for m in self._data]
+        if all(a is b for a, b in zip(moved, self._data)):
+            return self
+        return type(self)(moved)
+
+    def _atoms(self) -> Iterator[Atom]:
+        for m in self._data:
+            yield from m._atoms()
+
+    def _sort_key(self):
+        keys = [m._sort_key() for m in self._data]
+        if self._sorted:
+            keys.sort()
+        return (self._tag, len(keys), tuple(keys))
+
+    def _json(self):
+        return {self._kind: [m._json() for m in self._ordered()]}
 
     def __repr__(self):
-        return "(" + ", ".join(repr(m) for m in self.items) + ")"
+        inner = ", ".join(repr(m) for m in self._ordered())
+        return self._brackets[0] + inner + self._brackets[1]
+
+
+class FiniteSet(_Collection):
+    """Duplicate-free, order-insensitive collection of HF objects."""
+
+    __slots__ = ()
+    _tag, _kind, _brackets, _sorted = 1, "set", "{}", True
+
+    def __init__(self, members: Iterable[HFObject] = ()):
+        super().__init__(frozenset(members))
+
+    @property
+    def members(self) -> frozenset[HFObject]:
+        return self._data
+
+    def __contains__(self, item):
+        return item in self._data
+
+    def sorted_members(self) -> list[HFObject]:
+        return self._ordered()
+
+
+class HFTuple(_Collection):
+    """Ordered tuple of HF objects; equality is positional."""
+
+    __slots__ = ()
+    _tag, _kind, _brackets = 2, "tuple", "()"
+
+    def __init__(self, items: Iterable[HFObject]):
+        super().__init__(tuple(items))
+
+    @property
+    def items(self) -> tuple[HFObject, ...]:
+        return self._data
 
 
 def leaf(a: int, w: Vector) -> AtomLeaf:
-    return AtomLeaf(atom(a, w))
+    return AtomLeaf(Atom(a, w))
 
 
 def pair(x: HFObject, y: HFObject) -> HFTuple:
     return HFTuple((x, y))
 
 
+def _node(x) -> HFObject:
+    if not isinstance(x, HFObject):
+        raise UsageError(f"not an HFObject: {type(x).__name__}")
+    return x
+
+
 def sort_key(x: HFObject):
     """Total-order key used for canonical serialization of sets."""
-    if isinstance(x, AtomLeaf):
-        return (0, x.atom.a.value, x.atom.w.sort_key())
-    if isinstance(x, FiniteSet):
-        return (1, len(x.members), tuple(sorted(sort_key(m) for m in x.members)))
-    if isinstance(x, HFTuple):
-        return (2, len(x.items), tuple(sort_key(m) for m in x.items))
-    raise UsageError(f"not an HFObject: {type(x).__name__}")
+    return _node(x)._sort_key()
 
 
 def atoms_of(x: HFObject) -> Iterator[Atom]:
-    if isinstance(x, AtomLeaf):
-        yield x.atom
-    elif isinstance(x, FiniteSet):
-        for m in x.members:
-            yield from atoms_of(m)
-    elif isinstance(x, HFTuple):
-        for m in x.items:
-            yield from atoms_of(m)
-    else:
-        raise UsageError(f"not an HFObject: {type(x).__name__}")
+    return _node(x)._atoms()
 
 
 def hf_max_index(x: HFObject) -> int:
@@ -402,14 +424,9 @@ def hf_prime(x: HFObject) -> int | None:
 
 
 def act_hf(x: HFObject, g: GroupElement) -> HFObject:
-    """Apply the action to every atom leaf, re-canonicalizing sets."""
-    if isinstance(x, AtomLeaf):
-        return AtomLeaf(act_atom(x.atom, g))
-    if isinstance(x, FiniteSet):
-        return FiniteSet(act_hf(m, g) for m in x.members)
-    if isinstance(x, HFTuple):
-        return HFTuple(act_hf(m, g) for m in x.items)
-    raise UsageError(f"not an HFObject: {type(x).__name__}")
+    """Apply the action to every atom leaf, re-canonicalizing sets.  A node
+    none of whose atoms moves comes back as the same object."""
+    return _node(x)._act(g)
 
 
 def orbit(
@@ -437,34 +454,6 @@ def stabilizer_in(
             "stabilizer is not closed under composition; action is inconsistent"
         )
     return GroupSubspace(subgroup.horizon, space)
-
-
-# ---------------------------------------------------------------------------
-# Partition cells
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionCell:
-    """The p atoms sharing the vector component w."""
-
-    w: Vector
-
-    @property
-    def p(self) -> int:
-        return self.w.p
-
-    def members(self) -> tuple[Atom, ...]:
-        return tuple(atom(a, self.w) for a in range(self.p))
-
-    def as_hf(self) -> FiniteSet:
-        return FiniteSet(AtomLeaf(a) for a in self.members())
-
-
-def partition_at_horizon(p: int, horizon: int, cap: int = DEFAULT_ENUM_CAP) -> FiniteSet:
-    """The set of all cells U_w for w supported below the horizon."""
-    space = span_of((unit(p, i) for i in range(horizon)), p)
-    return FiniteSet(PartitionCell(w).as_hf() for w in space.enumerate_elements(cap))
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +499,7 @@ def hf_to_json(x: HFObject):
 
     Sets are listed in canonical sorted order so serialization is stable.
     """
-    if isinstance(x, AtomLeaf):
-        return {"atom": x.atom.to_text()}
-    if isinstance(x, FiniteSet):
-        return {"set": [hf_to_json(m) for m in x.sorted_members()]}
-    if isinstance(x, HFTuple):
-        return {"tuple": [hf_to_json(m) for m in x.items]}
-    raise UsageError(f"not an HFObject: {type(x).__name__}")
+    return _node(x)._json()
 
 
 def hf_from_json(obj, p: int) -> HFObject:

@@ -6,7 +6,9 @@ residue lists like ``1,0,1``, and HF objects are JSON
 ({"atom": "(a|w)"} | {"set": [...]} | {"tuple": [...]}).
 
 Exit status is 0 iff every executed check passed (a false support-check
-or an invalid certificate exits 1); bad flags or inputs exit 2.
+or an invalid certificate exits 1); bad flags or inputs exit 2; a cap or
+lookahead window that runs out (ResourceError, WindowExhaustedError) or
+a failed runtime self-check (InternalConsistencyError) exits 3.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from .atom_action import (
     stabilizer_in,
 )
 from .counterexample import build_tower, refute_pcf
-from .errors import CertificateError, UsageError
+from .errors import (
+    CertificateError,
+    InternalConsistencyError,
+    ResourceError,
+    UsageError,
+)
 from .fp_core import Vector, span_of
 from .supports import find_small_support, is_support
 from .thin_ideal import (
@@ -163,8 +170,8 @@ def cmd_reduce_support(args) -> int:
             lines.append(f"step {k + 1}: shortcut, dropped to a proper subset")
         else:
             lines.append(
-                f"step {k + 1}: h = {step.h.to_text()} m = {step.m.value} "
-                f"n = {step.n.value} b = {step.b.to_text()}"
+                f"step {k + 1}: h = {step.h.to_text()} m = {step.m} "
+                f"n = {step.n} b = {step.b.to_text()}"
             )
     lines.append("support: " + ("; ".join(support_texts) if support_texts else "∅"))
     emit(
@@ -198,7 +205,8 @@ def cmd_logstar(args) -> int:
 
 def cmd_extract_thin(args) -> int:
     if args.stream == "canonical":
-        stream = VectorStream(canonical_stream(args.p), args.p)
+        p = 2 if args.p is None else args.p
+        stream = VectorStream(canonical_stream(p), p)
     else:
         if args.fixture:
             data = load_fixture(args.fixture)
@@ -206,14 +214,11 @@ def cmd_extract_thin(args) -> int:
             with open(args.input) as fh:
                 data = json.load(fh)
         p = int(data["p"])
-        if p != args.p and args.p_set:
+        if args.p is not None and args.p != p:
             raise UsageError(f"fixture has p={p}, flag says p={args.p}")
-        args.p = p
         terms = [Vector.from_text(t, p) for t in data["vectors"]]
         stream = VectorStream(iter(terms), p)
-    indices, cert = extract_thin_subsequence(
-        stream, args.count, args.p, window=args.window
-    )
+    indices, cert = extract_thin_subsequence(stream, args.count, p, window=args.window)
     payload = {
         "indices": list(indices),
         "certificate": certificate_to_json(cert),
@@ -270,13 +275,7 @@ def cmd_refute_pcf(args) -> int:
 
 def cmd_verify_all(args) -> int:
     cfg = VerifyConfig(
-        seed=args.seed,
-        p=args.p,
-        horizon=args.horizon,
-        trials=args.trials,
-        logstar_max=args.logstar_max,
-        cap_enum=args.cap_enum,
-        cap_tower=args.cap_tower,
+        seed=args.seed, trials=args.trials, logstar_max=args.logstar_max
     )
     report = verify_all(cfg)
     lines = []
@@ -291,78 +290,85 @@ def cmd_verify_all(args) -> int:
     return 0 if report["passed"] else 1
 
 
+# Flags shared by several subcommands; each subcommand declares only the
+# ones it reads, besides --json and --output.
+SHARED_FLAGS = {
+    "--p": dict(type=int, default=2, help="prime modulus (default 2)"),
+    "--horizon": dict(type=int, default=3, help="coordinate cutoff (default 3)"),
+    "--cap-enum": dict(type=int, default=10**6, help="enumeration size cap"),
+    "--cap-tower": dict(type=int, default=12, help="tower height cap"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atomlab",
         description="Finite-horizon group actions on atoms: supports, "
         "density ideals, pair towers.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=2, help="prime modulus (default 2)")
-    common.add_argument(
-        "--horizon", type=int, default=3, help="coordinate cutoff (default 3)"
-    )
-    common.add_argument("--seed", type=int, default=42, help="seed for randomized suites")
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument(
-        "--cap-enum", type=int, default=10**6, help="enumeration size cap"
-    )
-    common.add_argument("--cap-tower", type=int, default=12, help="tower height cap")
-    common.add_argument("--output", help="write the report to this file")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("act", parents=[common], help="apply a group element")
+    def command(name, func, help, *shared):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--json", action="store_true", help="emit JSON")
+        sp.add_argument("--output", help="write the report to this file")
+        for flag in shared:
+            sp.add_argument(flag, **SHARED_FLAGS[flag])
+        sp.set_defaults(func=func)
+        return sp
+
+    group_flags = ("--p", "--horizon", "--cap-enum")
+
+    sp = command("act", cmd_act, "apply a group element", "--p")
     sp.add_argument("--g", required=True, help="group element, e.g. 1,0")
     sp.add_argument("--atom", help="atom text (a|w)")
     sp.add_argument("--x", help="HF object JSON")
-    sp.set_defaults(func=cmd_act)
 
-    sp = sub.add_parser("orbit", parents=[common], help="orbit of an HF object")
+    sp = command("orbit", cmd_orbit, "orbit of an HF object", *group_flags)
     sp.add_argument("--x", required=True, help="HF object JSON")
     sp.add_argument(
         "--stab-of",
         default="",
         help="act by the pointwise stabilizer of these vectors (default: full group)",
     )
-    sp.set_defaults(func=cmd_orbit)
 
-    sp = sub.add_parser("stabilizer", parents=[common], help="stabilizer of an HF object")
+    sp = command(
+        "stabilizer", cmd_stabilizer, "stabilizer of an HF object", *group_flags
+    )
     sp.add_argument("--x", required=True, help="HF object JSON")
     sp.add_argument("--stab-of", default="", help="restrict to this pointwise stabilizer")
-    sp.set_defaults(func=cmd_stabilizer)
 
-    sp = sub.add_parser("support-check", parents=[common], help="does A support x?")
+    sp = command("support-check", cmd_support_check, "does A support x?", *group_flags)
     sp.add_argument("--a", default="", help="vectors, semicolon separated")
     sp.add_argument("--x", required=True, help="HF object JSON")
     sp.add_argument(
         "--exhaustive", action="store_true", help="enumerate the whole stabilizer"
     )
-    sp.set_defaults(func=cmd_support_check)
 
-    sp = sub.add_parser(
-        "reduce-support", parents=[common], help="shrink a supplementary support"
+    sp = command(
+        "reduce-support",
+        cmd_reduce_support,
+        "shrink a supplementary support",
+        "--cap-enum",
     )
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--fixture", help="bundled instance, e.g. matching-p2")
     group.add_argument("--input", help="instance JSON file")
-    sp.set_defaults(func=cmd_reduce_support)
 
-    sp = sub.add_parser("density", parents=[common], help="prefix density d_k")
+    sp = command("density", cmd_density, "prefix density d_k", "--p", "--cap-enum")
     sp.add_argument("--vectors", default="", help="vectors, semicolon separated")
     sp.add_argument("--k", type=int, default=1, help="prefix length")
     sp.add_argument("--span", action="store_true", help="use the span of the vectors")
     sp.add_argument(
         "--profile", type=int, metavar="KMAX", help="emit CSV profile for k=1..KMAX"
     )
-    sp.set_defaults(func=cmd_density)
 
-    sp = sub.add_parser("logstar", parents=[common], help="iterated logarithm log*_p")
+    sp = command("logstar", cmd_logstar, "iterated logarithm log*_p", "--p")
     sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(func=cmd_logstar)
 
-    sp = sub.add_parser(
-        "extract-thin", parents=[common], help="extract a sparse subsequence"
+    sp = command("extract-thin", cmd_extract_thin, "extract a sparse subsequence")
+    sp.add_argument(
+        "--p", type=int, help="prime modulus (default: the stream's, 2 if canonical)"
     )
     sp.add_argument(
         "--stream",
@@ -374,27 +380,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="stream JSON file")
     sp.add_argument("--count", type=int, default=3, help="how many indices")
     sp.add_argument("--window", type=int, default=256, help="lookahead window")
-    sp.set_defaults(func=cmd_extract_thin)
 
-    sp = sub.add_parser("certify", parents=[common], help="validate a thinness certificate")
+    sp = command("certify", cmd_certify, "validate a thinness certificate")
     sp.add_argument("--input", required=True, help="certificate JSON file")
-    sp.set_defaults(func=cmd_certify)
 
-    sp = sub.add_parser("tower", parents=[common], help="build a pair tower")
+    sp = command("tower", cmd_tower, "build a pair tower", "--cap-tower")
     sp.add_argument("--levels", type=int, required=True)
-    sp.set_defaults(func=cmd_tower)
 
-    sp = sub.add_parser(
-        "refute-pcf", parents=[common], help="defeat a proposed partial-choice support"
+    sp = command(
+        "refute-pcf",
+        cmd_refute_pcf,
+        "defeat a proposed partial-choice support",
+        "--cap-tower",
     )
     sp.add_argument("--levels", type=int, help="tower height")
     sp.add_argument("--s", default="", help="proposed support levels, e.g. 0,2")
     sp.add_argument("--fixture", help="bundled instance, e.g. refute-n4")
-    sp.set_defaults(func=cmd_refute_pcf)
 
-    sp = sub.add_parser(
-        "verify-all", parents=[common], help="run every property and acceptance suite"
+    sp = command(
+        "verify-all", cmd_verify_all, "run every property and acceptance suite"
     )
+    sp.add_argument("--seed", type=int, default=42, help="seed for randomized suites")
     sp.add_argument(
         "--trials", type=int, help="scale randomized trial counts down to this"
     )
@@ -404,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10**6,
         help="upper bound for the log* cross-check",
     )
-    sp.set_defaults(func=cmd_verify_all)
     return parser
 
 
@@ -415,7 +420,6 @@ def main(argv=None) -> int:
         if args.command == "act" and (args.atom is None) == (args.x is None):
             parser.error("act needs exactly one of --atom or --x")
         if args.command == "extract-thin":
-            args.p_set = "--p" in (argv if argv is not None else sys.argv)
             if args.stream == "fixture" and not args.fixture:
                 args.fixture = "stream-canonical-p2"
             if args.stream == "file" and not args.input:
@@ -426,12 +430,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ResourceError, InternalConsistencyError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # noqa: BLE001 - surface module diagnostics
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

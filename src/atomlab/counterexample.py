@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .atom_action import (
     FiniteSet,
@@ -42,10 +42,6 @@ class PairTower:
 
     @property
     def height(self) -> int:
-        return len(self.levels)
-
-    @property
-    def horizon(self) -> int:
         return len(self.levels)
 
     def level_pair(self, n: int) -> tuple[HFObject, HFObject]:
@@ -83,61 +79,26 @@ def level_swap(tower: PairTower, i: int) -> GroupElement:
     """The group element flipping exactly the cell at level i."""
     if not 0 <= i < tower.height:
         raise UsageError(f"level {i} outside tower of height {tower.height}")
-    return GroupElement.delta(TOWER_P, tower.horizon, i)
-
-
-def apply_to_levels(
-    tower: PairTower, g: GroupElement
-) -> list[tuple[int, bool]]:
-    """Per level, whether g exchanges the two elements (it must either fix
-    both or exchange them)."""
-    out = []
-    for n in range(tower.height):
-        u, v = tower.level_pair(n)
-        gu, gv = act_hf(u, g), act_hf(v, g)
-        if (gu, gv) == (u, v):
-            out.append((n, False))
-        elif (gu, gv) == (v, u):
-            out.append((n, True))
-        else:
-            raise InternalConsistencyError(f"level {n} is not preserved by {g}")
-    return out
+    return GroupElement.delta(TOWER_P, tower.height, i)
 
 
 def swap_effect(tower: PairTower, i: int) -> list[tuple[int, bool]]:
-    """Effect of the level-i swap; swapped(n) must equal (n >= i)."""
-    effects = apply_to_levels(tower, level_swap(tower, i))
-    for n, swapped in effects:
+    """Per level n, whether the level-i swap exchanges the two elements; it
+    must exchange them exactly when n >= i and fix them otherwise."""
+    g = level_swap(tower, i)
+    effects = []
+    for n in range(tower.height):
+        u, v = tower.level_pair(n)
+        image = (act_hf(u, g), act_hf(v, g))
+        if image not in ((u, v), (v, u)):
+            raise InternalConsistencyError(f"level {n} is not preserved by {g}")
+        swapped = image == (v, u)
         if swapped != (n >= i):
             raise InternalConsistencyError(
                 f"swap at {i} acted wrongly at level {n}: swapped={swapped}"
             )
+        effects.append((n, swapped))
     return effects
-
-
-@dataclass(frozen=True)
-class ChoiceSelection:
-    """A pick from each level in the domain."""
-
-    picks: tuple[tuple[int, HFObject], ...]
-
-    @classmethod
-    def from_mapping(cls, picks: Mapping[int, HFObject]) -> "ChoiceSelection":
-        return cls(tuple(sorted(picks.items())))
-
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.picks)
-
-    def validate_against(self, tower: PairTower) -> None:
-        for n, pick in self.picks:
-            if not 0 <= n < tower.height:
-                raise UsageError(f"selection level {n} outside the tower")
-            if pick not in tower.levels[n]:
-                raise UsageError(f"pick at level {n} is not an element of that level")
-
-    def act(self, g: GroupElement) -> "ChoiceSelection":
-        return ChoiceSelection(tuple((n, act_hf(x, g)) for n, x in self.picks))
 
 
 @dataclass(frozen=True)

@@ -43,67 +43,6 @@ def check_prime(p) -> int:
 
 
 @dataclass(frozen=True)
-class FpScalar:
-    """A residue in the field with ``p`` elements."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise UsageError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpScalar(other, self.p)
-        raise UsageError(f"cannot combine FpScalar with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FpScalar(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FpScalar(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FpScalar(self.value * other.value, self.p)
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.p)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise UsageError("0 has no inverse")
-        return FpScalar(pow(self.value, -1, self.p), self.p)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value}%{self.p}"
-
-
-def _as_residue(c, p: int) -> int:
-    if isinstance(c, FpScalar):
-        if c.p != p:
-            raise UsageError(f"mixed moduli {p} and {c.p}")
-        return c.value
-    if isinstance(c, int):
-        return c % p
-    raise UsageError(f"scalar must be int or FpScalar, got {type(c).__name__}")
-
-
-@dataclass(frozen=True)
 class Vector:
     """Finitely supported coordinate sequence over F_p.
 
@@ -178,19 +117,15 @@ class Vector:
     def __sub__(self, other: "Vector") -> "Vector":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "Vector":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Vector":
-        c = _as_residue(c, self.p)
+    def scale(self, c: int) -> "Vector":
+        if not isinstance(c, int):
+            raise UsageError(f"scalar must be an int, got {type(c).__name__}")
+        c %= self.p
         if c == 0:
             return Vector(self.p)
         if c == 1:
             return self
         return Vector(self.p, tuple((i, (v * c) % self.p) for i, v in self.entries))
-
-    def __rmul__(self, c) -> "Vector":
-        return self.scale(c)
 
     def dot_dense(self, coords: Sequence[int]) -> int:
         """Pairing with a dense coordinate tuple; entries beyond it are rejected."""
@@ -247,21 +182,6 @@ def project_prefix(v: Vector, k: int) -> Vector:
     return Vector(v.p, tuple((i, c) for i, c in v.entries if i < k))
 
 
-def vector_combine(coeffs: Sequence, vecs: Sequence[Vector]) -> Vector:
-    """Linear combination sum(coeffs[i] * vecs[i]) in canonical sparse form."""
-    if len(coeffs) != len(vecs):
-        raise UsageError(f"{len(coeffs)} coefficients for {len(vecs)} vectors")
-    if not vecs:
-        raise UsageError("empty combination has no modulus; use zero_vector(p)")
-    p = vecs[0].p
-    acc = Vector(p)
-    for c, v in zip(coeffs, vecs):
-        if v.p != p:
-            raise UsageError(f"mixed moduli {p} and {v.p}")
-        acc = acc + v.scale(_as_residue(c, p))
-    return acc
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace given by its reduced echelon basis (unique per subspace).
@@ -312,11 +232,7 @@ class Subspace:
         """Residual of v after eliminating against the basis."""
         if v.p != self.p:
             raise UsageError(f"mixed moduli {self.p} and {v.p}")
-        for b in self.basis:
-            c = v.coeff(b.lead_index)
-            if c:
-                v = v - b.scale(c)
-        return v
+        return _eliminate(self.basis, v)
 
     def contains(self, v: Vector) -> bool:
         return self.reduce(v).is_zero
@@ -340,20 +256,26 @@ class Subspace:
         return max((b.max_index for b in self.basis), default=-1)
 
 
-def _insert_echelon(rows: list[Vector], v: Vector) -> Vector | None:
-    """Insert v into echelon rows; returns the normalized new row or None."""
+def _eliminate(rows: Iterable[Vector], v: Vector) -> Vector:
+    """Clear each row's pivot coordinate from v (rows have pivot coefficient 1)."""
     for b in rows:
         c = v.coeff(b.lead_index)
         if c:
-            v = v - b.scale(c)
+            v = v + b.scale(-c)
+    return v
+
+
+def _insert_echelon(rows: list[Vector], v: Vector) -> Vector | None:
+    """Insert v into echelon rows; returns the normalized new row or None."""
+    v = _eliminate(rows, v)
     if v.is_zero:
         return None
-    v = v.scale(FpScalar(v.entries[0][1], v.p).inverse())
+    v = v.scale(pow(v.entries[0][1], -1, v.p))
     lead = v.lead_index
     for idx, b in enumerate(rows):
         c = b.coeff(lead)
         if c:
-            rows[idx] = b - v.scale(c)
+            rows[idx] = b + v.scale(-c)
     rows.append(v)
     rows.sort(key=lambda b: b.lead_index)
     return v
@@ -375,12 +297,6 @@ def span_of(gens: Iterable[Vector], p: int | None = None) -> Subspace:
 
 def in_span(v: Vector, s: Subspace) -> bool:
     return s.contains(v)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.p != b.p:
-        raise UsageError(f"mixed moduli {a.p} and {b.p}")
-    return span_of(a.basis + b.basis, a.p)
 
 
 def complement_within(s: Subspace, horizon: int) -> Subspace:

@@ -28,7 +28,7 @@ from .atom_action import (
     stabilizer_in,
 )
 from .errors import InternalConsistencyError, UsageError
-from .fp_core import DEFAULT_ENUM_CAP, FpScalar, Vector, _insert_echelon, span_of
+from .fp_core import DEFAULT_ENUM_CAP, Vector, _insert_echelon, span_of
 
 
 def _infer_p(vectors: Iterable[Vector], x: HFObject | None, p: int | None) -> int:
@@ -68,37 +68,14 @@ def is_support(
 
 
 @dataclass(frozen=True)
-class SupportClaim:
-    """A claim that the vectors support the object at the given horizon."""
-
-    vectors: frozenset[Vector]
-    x: HFObject
-    horizon: int
-
-    def __post_init__(self):
-        for v in self.vectors:
-            if v.max_index >= self.horizon:
-                raise UsageError(
-                    f"vector supported at {v.max_index} exceeds horizon {self.horizon}"
-                )
-        if hf_max_index(self.x) >= self.horizon:
-            raise UsageError("object support exceeds the claim's horizon")
-
-    def holds(self, p: int | None = None, exhaustive: bool = False) -> bool:
-        return is_support(
-            self.vectors, self.x, self.horizon, p, exhaustive=exhaustive
-        )
-
-
-@dataclass(frozen=True)
 class ReductionStep:
     """One shrink of B.  ``shortcut`` marks the proper-subset branch, in
     which no witness h is involved and b is absent."""
 
     B_before: tuple[Vector, ...]
     h: GroupElement | None
-    m: FpScalar | None
-    n: FpScalar | None
+    m: int | None
+    n: int | None
     b: Vector | None
     shortcut: bool
 
@@ -106,8 +83,8 @@ class ReductionStep:
         return {
             "B_before": [v.to_text() for v in self.B_before],
             "h": self.h.to_text() if self.h is not None else None,
-            "m": self.m.value if self.m is not None else None,
-            "n": self.n.value if self.n is not None else None,
+            "m": self.m,
+            "n": self.n,
             "b": self.b.to_text() if self.b is not None else None,
             "shortcut": self.shortcut,
         }
@@ -222,9 +199,7 @@ def reduce_support_step(
     new_supplement = [b] + rest
     if not is_support(base + tuple(new_supplement), x, horizon, p, cap=cap):
         raise InternalConsistencyError("reduced set fails to support x")
-    step = ReductionStep(
-        tuple(supplement), h, FpScalar(m, p), FpScalar(n, p), b, False
-    )
+    step = ReductionStep(tuple(supplement), h, m, n, b, False)
     return b, new_supplement, step
 
 

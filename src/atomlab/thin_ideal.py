@@ -227,7 +227,8 @@ class ExtractedStreamCert:
     d_{n_i} <= bound <= i+1 and log*(n_i) > i for i >= 1.
 
     ``window`` records the lookahead actually inspected: the stream's
-    for-all-later-terms stability condition was only checked that far.
+    for-all-later-terms stability condition was only checked that far, so
+    every checkpoint index must lie below it.
     """
 
     p: int
@@ -264,9 +265,9 @@ def extract_thin_subsequence(
     for i in range(count - 1):
         # log*(c) > i+1 iff c > tower(p, i+1); extend towers only while
         # they stay below the window, anything larger is out of reach
-        ts = _towers.setdefault(p, [1])
+        ts = _tower_list(p, 1)
         while len(ts) <= i + 1 and ts[-1] <= window:
-            ts.append(p ** ts[-1])
+            ts = _tower_list(p, ts[-1] + 1)
         if len(ts) <= i + 1 or ts[i + 1] + 1 >= window:
             raise WindowExhaustedError(
                 f"window {window} holds no index with log* above {i + 1}"
@@ -343,6 +344,10 @@ def certificate_violations(cert: ThinCertificate, path: str = "") -> list[str]:
                     problems.append(
                         f"{tag}: log*_{cert.p}({n_i}) = {got} is not > {i}"
                     )
+            if n_i >= cert.window:
+                problems.append(
+                    f"{tag}: index {n_i} is outside the inspected window {cert.window}"
+                )
         return problems
     raise CertificateError(f"unknown certificate object {type(cert).__name__}")
 
@@ -385,19 +390,19 @@ def certificate_from_json(obj) -> ThinCertificate:
     kind = obj["kind"]
     try:
         if kind == "finite-set":
-            p = int(obj["p"])
+            p = check_prime(int(obj["p"]))
             return FiniteSetCert(
                 p, tuple(Vector.from_text(t, p) for t in obj["elements"])
             )
         if kind == "span-of-finite":
-            p = int(obj["p"])
+            p = check_prime(int(obj["p"]))
             return SpanOfFiniteCert(
                 p, tuple(Vector.from_text(t, p) for t in obj["generators"])
             )
         if kind == "extracted-stream":
-            p = int(obj["p"])
+            p = check_prime(int(obj["p"]))
             cps = tuple((int(n), int(b)) for n, b in obj["checkpoints"])
-            return ExtractedStreamCert(p, cps, int(obj.get("window", 0)))
+            return ExtractedStreamCert(p, cps, int(obj["window"]))
         if kind == "finite-union":
             return FiniteUnionCert(
                 tuple(certificate_from_json(c) for c in obj["children"])
@@ -405,24 +410,3 @@ def certificate_from_json(obj) -> ThinCertificate:
     except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise CertificateError(f"malformed {kind} certificate: {exc}") from None
     raise CertificateError(f"unknown certificate kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Finite-batch preprocessing
-# ---------------------------------------------------------------------------
-
-
-def pigeonhole_stabilize(batch: list[Vector], max_coord: int) -> list[Vector]:
-    """Greedy pigeonhole pass over a finite batch: for each coordinate below
-    max_coord keep the largest value-class (ties to the smaller residue),
-    making every inspected coordinate constant on the survivors."""
-    current = list(batch)
-    for c in range(max_coord):
-        if len(current) <= 1:
-            break
-        classes: dict[int, list[Vector]] = {}
-        for v in current:
-            classes.setdefault(v.coeff(c), []).append(v)
-        best = max(sorted(classes), key=lambda r: len(classes[r]))
-        current = classes[best]
-    return current

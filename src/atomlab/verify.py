@@ -40,7 +40,6 @@ from .errors import UsageError
 from .fp_core import (
     Subspace,
     Vector,
-    check_prime,
     complement_within,
     in_span,
     project_prefix,
@@ -70,19 +69,12 @@ class Check:
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = 42
-    p: int = 2
-    horizon: int = 3
     trials: int | None = None
     logstar_max: int = 10**6
-    cap_enum: int = 10**6
-    cap_tower: int = 12
 
     def __post_init__(self):
-        check_prime(self.p)
-        if self.horizon < 1:
-            raise UsageError("horizon must be at least 1")
-        if self.cap_enum < 1 or self.cap_tower < 1 or self.logstar_max < 1:
-            raise UsageError("caps must be positive")
+        if self.logstar_max < 1:
+            raise UsageError("logstar_max must be positive")
 
 
 def _suite_rng(cfg: VerifyConfig, name: str) -> random.Random:
@@ -677,12 +669,8 @@ def verify_all(cfg: VerifyConfig) -> dict:
     return {
         "config": {
             "seed": cfg.seed,
-            "p": cfg.p,
-            "horizon": cfg.horizon,
             "trials": cfg.trials,
             "logstar_max": cfg.logstar_max,
-            "cap_enum": cfg.cap_enum,
-            "cap_tower": cfg.cap_tower,
         },
         "passed": all_passed,
         "suites": suites,

@@ -21,13 +21,12 @@ from atomlab.atom_action import (
     leaf,
     orbit,
     pair,
-    partition_at_horizon,
     pointwise_stabilizer,
     stabilizer_in,
     to_kuratowski,
 )
 from atomlab.errors import ResourceError, UsageError
-from atomlab.fp_core import FpScalar, unit, zero_vector
+from atomlab.fp_core import span_of, unit, zero_vector
 
 
 def e(i, p=2):
@@ -137,7 +136,9 @@ class TestActHF:
         assert act_hf(t, g) == pair(leaf(1, e(0)), leaf(0, e(1)))
 
     def test_partition_supported_by_empty_set(self):
-        part = partition_at_horizon(2, 2)
+        cells = span_of([e(0), e(1)]).enumerate_elements()
+        part = FiniteSet(FiniteSet([leaf(0, w), leaf(1, w)]) for w in cells)
+        assert len(part) == 4
         for g in full_group(2, 2):
             assert act_hf(part, g) == part
 
@@ -271,6 +272,9 @@ class TestSerialization:
 
     def test_scalar_type_on_atom(self):
         a = atom(1, e(0, 3))
-        assert isinstance(a.a, FpScalar)
+        assert type(a.a) is int and a.a == 1
+        assert Atom(7, e(0, 3)) == a  # reduced mod the vector's p
         with pytest.raises(UsageError):
-            Atom(FpScalar(1, 2), e(0, 3))
+            Atom(1.5, e(0, 3))
+        with pytest.raises(UsageError):
+            Atom("1", e(0, 3))

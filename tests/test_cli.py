@@ -204,3 +204,61 @@ def test_verify_all_scaled_deterministic(tmp_path, capsys):
     assert [s["name"] for s in report["suites"]] == sorted(
         s["name"] for s in report["suites"]
     )
+
+
+def test_cap_and_window_exhaustion_exit_three(capsys):
+    code, _, err = run(capsys, "orbit", "--x", '{"atom":"(0|0:1)"}', "--horizon", "30")
+    assert code == 3
+    assert "ResourceError" in err
+    code, _, err = run(capsys, "extract-thin", "--count", "5", "--window", "64")
+    assert code == 3
+    assert "WindowExhaustedError" in err
+
+
+def test_unread_flags_rejected(capsys):
+    for argv in (
+        ["verify-all", "--p", "5"],
+        ["logstar", "--seed", "3", "--n", "4"],
+        ["certify", "--horizon", "2", "--input", "unused.json"],
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 2, argv
+
+
+def test_extract_thin_fixture_p_mismatch(capsys):
+    for flag in (["--p=3"], ["--p", "3"]):
+        code, _, err = run(capsys, "extract-thin", "--stream", "fixture", *flag)
+        assert code == 2
+        assert "fixture has p=2" in err
+    code, out, _ = run(capsys, "extract-thin", "--stream", "fixture", "--p=2")
+    assert (code, out.strip()) == (0, "indices: 0,3,5")
+
+
+def test_verify_all_config_holds_only_read_flags(capsys):
+    code, out, _ = run(
+        capsys, "verify-all", "--trials", "1", "--logstar-max", "10", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["config"] == {"seed": 42, "trials": 1, "logstar_max": 10}
+
+
+def test_certify_rejects_non_prime_modulus(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"kind": "finite-set", "p": 4, "elements": []}))
+    code, _, err = run(capsys, "certify", "--input", str(path))
+    assert code == 2
+    assert "prime" in err
+
+
+def test_certify_checks_window(tmp_path, capsys):
+    cert = {"kind": "extracted-stream", "p": 2, "window": 3,
+            "checkpoints": [[0, 1], [3, 2], [5, 3]]}  # fmt: skip
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "certify", "--input", str(path))
+    assert code == 1
+    assert "outside the inspected window 3" in out
+    del cert["window"]
+    path.write_text(json.dumps(cert))
+    code, _, _ = run(capsys, "certify", "--input", str(path))
+    assert code == 2

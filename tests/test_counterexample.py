@@ -4,8 +4,6 @@ import pytest
 
 from atomlab.atom_action import GroupElement, act_hf, leaf
 from atomlab.counterexample import (
-    ChoiceSelection,
-    apply_to_levels,
     build_tower,
     level_swap,
     refute_pcf,
@@ -59,7 +57,9 @@ class TestSwapEffect:
     def test_identity_swaps_nothing(self):
         tower = build_tower(3)
         ident = GroupElement.identity(2, 3)
-        assert apply_to_levels(tower, ident) == [(0, False), (1, False), (2, False)]
+        for n in range(3):
+            u, v = tower.level_pair(n)
+            assert act_hf(u, ident) is u and act_hf(v, ident) is v
 
     def test_contract_exhaustive(self):
         for height in range(1, 9):
@@ -93,9 +93,8 @@ class TestRefutePCF:
         swap = level_swap(tower, 1)
         options = [tower.level_pair(n) for n in (1, 2, 3)]
         for picks in itertools.product(*options):
-            sel = ChoiceSelection.from_mapping(dict(zip((1, 2, 3), picks)))
-            sel.validate_against(tower)
-            assert sel.act(swap) != sel
+            assert all(x in tower.levels[n] for n, x in zip((1, 2, 3), picks))
+            assert [act_hf(x, swap) for x in picks] != list(picks)
 
     def test_empty_support_small_tower(self):
         tower = build_tower(2)
@@ -103,8 +102,7 @@ class TestRefutePCF:
         assert report.swap_level == 0
         swap = level_swap(tower, 0)
         for picks in itertools.product(*(tower.level_pair(n) for n in (0, 1))):
-            sel = ChoiceSelection.from_mapping(dict(zip((0, 1), picks)))
-            assert sel.act(swap) != sel
+            assert [act_hf(x, swap) for x in picks] != list(picks)
 
     def test_single_level(self):
         tower = build_tower(1)
@@ -144,8 +142,3 @@ class TestRefutePCF:
         for lv in j["levels"]:
             assert lv["moved"] is True
             assert len(lv["before"]) == 2 and len(lv["after"]) == 2
-
-    def test_selection_validation(self):
-        tower = build_tower(2)
-        with pytest.raises(UsageError):
-            ChoiceSelection.from_mapping({0: leaf(0, e(1))}).validate_against(tower)

@@ -5,7 +5,6 @@ import pytest
 
 from atomlab.errors import UsageError
 from atomlab.fp_core import (
-    FpScalar,
     Subspace,
     Vector,
     complement_within,
@@ -13,7 +12,6 @@ from atomlab.fp_core import (
     project_prefix,
     span_of,
     unit,
-    vector_combine,
     zero_vector,
 )
 
@@ -27,42 +25,45 @@ def all_vectors(p, horizon):
 
 
 class TestScalars:
+    """Scalars are plain ints, reduced mod p where a vector uses them."""
+
     def test_normalization_and_arithmetic(self):
-        a = FpScalar(5, 3)
-        assert a.value == 2
-        assert (a + 2).value == 1
-        assert (a * 2).value == 1
-        assert (-a).value == 1
-        assert a.inverse().value == 2  # 2*2 = 4 = 1 mod 3
+        v = e(0, 3)
+        assert v.scale(5) == v.scale(2) == Vector(3, ((0, 2),))
+        assert v.scale(-1) == v.scale(2)
+        assert v.scale(2).scale(2) == v  # 2*2 = 4 = 1 mod 3
+        assert v.scale(3).is_zero
 
     def test_non_prime_rejected(self):
         with pytest.raises(UsageError):
-            FpScalar(1, 4)
+            unit(4, 0)
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(UsageError):
-            FpScalar(1, 2) + FpScalar(1, 3)
+            span_of([e(0, 3)]).reduce(e(0, 2))
+
+    def test_non_int_rejected(self):
+        with pytest.raises(UsageError):
+            e(0).scale(1.5)
 
 
 class TestVectorCombine:
+    """Linear combinations built from ``scale`` and ``+``."""
+
     def test_characteristic_two_cancellation(self):
-        assert vector_combine([1, 1], [e(0), e(0)]) == zero_vector(2)
+        assert e(0).scale(1) + e(0).scale(1) == zero_vector(2)
 
     def test_disjoint_supports(self):
-        v = vector_combine([1, 1], [e(0), e(1)])
+        v = e(0).scale(1) + e(1).scale(1)
         assert v == Vector.from_dict(2, {0: 1, 1: 1})
 
     def test_mod_three_wraparound(self):
-        v = vector_combine([2, 2], [e(0, 3), e(0, 3)])
+        v = e(0, 3).scale(2) + e(0, 3).scale(2)
         assert v == Vector.from_dict(3, {0: 1})
-
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            vector_combine([1], [e(0), e(1)])
 
     def test_prime_mismatch(self):
         with pytest.raises(UsageError):
-            vector_combine([1, 1], [e(0, 2), e(0, 3)])
+            e(0, 2) + e(0, 3)
 
 
 class TestVector:

@@ -9,12 +9,10 @@ from atomlab.atom_action import (
     act_hf,
     leaf,
     pair,
-    partition_at_horizon,
 )
 from atomlab.errors import UsageError
-from atomlab.fp_core import Vector, unit
+from atomlab.fp_core import Vector, span_of, unit
 from atomlab.supports import (
-    SupportClaim,
     find_small_support,
     is_support,
     normalize_supplement,
@@ -42,7 +40,8 @@ def matching_orbit(p):
 class TestIsSupport:
     def test_empty_set_supports_partition(self):
         for p in (2, 3):
-            part = partition_at_horizon(p, 2)
+            cells = span_of([e(0, p), e(1, p)]).enumerate_elements()
+            part = FiniteSet(FiniteSet(leaf(a, w) for a in range(p)) for w in cells)
             assert is_support([], part, 2, p=p, exhaustive=True)
 
     def test_atom_supported_by_its_vector(self):
@@ -60,13 +59,12 @@ class TestIsSupport:
         assert not is_support([], leaf(0, e(0)), 2, 2)
 
     def test_support_claim_bundle(self):
-        claim = SupportClaim(frozenset([e(0)]), leaf(0, e(0)), 2)
-        assert claim.holds(2)
-        assert claim.holds(2, exhaustive=True)
-        with pytest.raises(UsageError):
-            SupportClaim(frozenset([e(5)]), leaf(0, e(0)), 2)
-        with pytest.raises(UsageError):
-            SupportClaim(frozenset(), leaf(0, e(5)), 2)
+        assert is_support(frozenset([e(0)]), leaf(0, e(0)), 2, 2)
+        assert is_support(frozenset([e(0)]), leaf(0, e(0)), 2, 2, exhaustive=True)
+        with pytest.raises(UsageError):  # a vector beyond the horizon
+            is_support(frozenset([e(5)]), leaf(0, e(0)), 2)
+        with pytest.raises(UsageError):  # an object beyond the horizon
+            is_support(frozenset(), leaf(0, e(5)), 2, 2)
 
     def test_monotone_under_enlargement(self):
         rng = random.Random(5)
@@ -93,8 +91,6 @@ class TestIsSupport:
                     Vector.from_dict(p, {i: rng.randrange(p) for i in range(3)})
                     for _ in range(rng.randrange(3))
                 ]
-                from atomlab.fp_core import span_of
-
                 spanned = list(span_of(vs, p).enumerate_elements())
                 basis = list(span_of(vs, p).basis)
                 x = pair(leaf(0, unit(p, rng.randrange(3))), leaf(1, unit(p, 0)))
@@ -112,7 +108,7 @@ class TestReduceStep:
         assert b == e(0) + e(1)
         assert b_new == [e(0) + e(1)]
         assert step.h == GroupElement(2, (1, 1))
-        assert (step.m.value, step.n.value) == (1, 1)
+        assert (step.m, step.n) == (1, 1)
         assert not step.shortcut
         # oracle: the result must survive full stabilizer enumeration
         assert support_oracle((b,), x, 2, 2)
@@ -125,7 +121,7 @@ class TestReduceStep:
         )
         assert b == e(0, p) + e(1, p).scale(2)
         assert step.h == GroupElement(3, (1, 1))
-        assert (step.m.value, step.n.value) == (1, 1)
+        assert (step.m, step.n) == (1, 1)
         # h fixes at b: 1*1 + 2*1 = 0 mod 3
         assert b.dot_dense(step.h.coords) == 0
         assert support_oracle((b,), x, 2, p)

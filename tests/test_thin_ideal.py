@@ -20,7 +20,6 @@ from atomlab.thin_ideal import (
     density_profile,
     extract_thin_subsequence,
     log_star_p,
-    pigeonhole_stabilize,
 )
 
 
@@ -201,6 +200,19 @@ class TestExtraction:
         with pytest.raises(WindowExhaustedError):
             extract_thin_subsequence(stream, 3, 2, window=4)
 
+    def test_window_messages(self):
+        cases = [
+            (3, 2, 4, "no admissible index for checkpoint 1 within window 4"),
+            (3, 2, 6, "no admissible index for checkpoint 2 within window 6"),
+            (5, 2, 64, "window 64 holds no index with log* above 4"),
+            (3, 3, 20, "window 20 holds no index with log* above 2"),
+        ]
+        for count, p, window, message in cases:
+            stream = VectorStream(canonical_stream(p), p)
+            with pytest.raises(WindowExhaustedError) as exc_info:
+                extract_thin_subsequence(stream, count, p, window=window)
+            assert str(exc_info.value) == message
+
     def test_stream_distinctness_enforced(self):
         terms = [e(0), e(1), e(0)]
         stream = VectorStream(iter(terms), 2)
@@ -248,6 +260,35 @@ class TestCertificates:
         )
         assert certificate_from_json(certificate_to_json(cert)) == cert
 
+    def test_non_prime_modulus_rejected(self):
+        for kind, key in (
+            ("finite-set", "elements"),
+            ("span-of-finite", "generators"),
+        ):
+            with pytest.raises(CertificateError):
+                certificate_from_json({"kind": kind, "p": 4, key: []})
+        with pytest.raises(CertificateError):
+            certificate_from_json(
+                {"kind": "extracted-stream", "p": 4, "window": 8,
+                 "checkpoints": [[0, 1]]}
+            )  # fmt: skip
+
+    def test_checkpoint_beyond_window_diagnosed(self):
+        cert = ExtractedStreamCert(2, ((0, 1), (3, 2), (5, 3)), 3)
+        problems = certificate_violations(cert)
+        assert [p.split(":")[0] for p in problems] == [
+            "certificate.checkpoints[1]",
+            "certificate.checkpoints[2]",
+        ]
+        assert all("window 3" in p for p in problems)
+        assert certify_thin(ExtractedStreamCert(2, cert.checkpoints, 6))
+
+    def test_stream_certificate_needs_window(self):
+        with pytest.raises(CertificateError):
+            certificate_from_json(
+                {"kind": "extracted-stream", "p": 2, "checkpoints": [[0, 1]]}
+            )
+
     def test_malformed_json_rejected(self):
         with pytest.raises(CertificateError):
             certificate_from_json({"kind": "mystery"})
@@ -272,15 +313,3 @@ class TestProfile:
             assert ls_d == log_star_p(d, 2)
             assert ls_k == log_star_p(k, 2)
 
-
-class TestPigeonhole:
-    def test_makes_inspected_coordinates_constant(self):
-        rng = random.Random(17)
-        batch = [
-            Vector.from_dict(2, {i: rng.randrange(2) for i in range(5)} | {10 + n: 1})
-            for n in range(40)
-        ]
-        out = pigeonhole_stabilize(batch, 5)
-        assert out
-        for c in range(5):
-            assert len({v.coeff(c) for v in out}) == 1
