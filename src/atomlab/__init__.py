@@ -43,11 +43,9 @@ from .fp_core import (
     Subspace,
     Vector,
     complement_within,
-    in_span,
     project_prefix,
     span_of,
     unit,
-    zero_vector,
 )
 from .supports import (
     ReductionStep,
@@ -58,10 +56,6 @@ from .supports import (
 )
 from .thin_ideal import (
     DensityProfile,
-    ExtractedStreamCert,
-    FiniteSetCert,
-    FiniteUnionCert,
-    SpanOfFiniteCert,
     VectorStream,
     canonical_stream,
     certify_thin,

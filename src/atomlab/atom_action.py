@@ -503,12 +503,11 @@ def hf_to_json(x: HFObject):
 
 
 def hf_from_json(obj, p: int) -> HFObject:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise UsageError(f"bad HF JSON node: {obj!r}")
-    if "atom" in obj:
-        return AtomLeaf(Atom.from_text(obj["atom"], p))
-    if "set" in obj:
-        return FiniteSet(hf_from_json(m, p) for m in obj["set"])
-    if "tuple" in obj:
-        return HFTuple(hf_from_json(m, p) for m in obj["tuple"])
+    if isinstance(obj, dict) and len(obj) == 1:
+        ((kind, value),) = obj.items()
+        if kind == "atom" and isinstance(value, str):
+            return AtomLeaf(Atom.from_text(value, p))
+        if kind in ("set", "tuple") and isinstance(value, list):
+            members = (hf_from_json(m, p) for m in value)
+            return FiniteSet(members) if kind == "set" else HFTuple(members)
     raise UsageError(f"bad HF JSON node: {obj!r}")

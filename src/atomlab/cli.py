@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -45,8 +46,6 @@ from .supports import find_small_support, is_support
 from .thin_ideal import (
     VectorStream,
     canonical_stream,
-    certificate_from_json,
-    certificate_to_json,
     certificate_violations,
     density_d_k,
     density_profile,
@@ -72,6 +71,26 @@ def load_fixture(name: str) -> dict:
         ) from None
     text = resources.files("atomlab").joinpath("fixtures", filename).read_text()
     return json.loads(text)
+
+
+def read_input(fields, fixture: str | None = None, path: str | None = None):
+    """``fields`` applied to the bundled ``fixture``, or else to the JSON
+    file at ``path``.  An unreadable file, bad JSON, and a missing or
+    mistyped field are all UsageErrors."""
+    if fixture:
+        data = load_fixture(fixture)
+    else:
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read {path}: {exc}") from None
+    try:
+        return fields(data)
+    except (UsageError, CertificateError):  # ValueErrors that already say what is wrong
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError(f"malformed input: {type(exc).__name__}: {exc}") from None
 
 
 def parse_vector_set(text: str, p: int) -> list[Vector]:
@@ -148,18 +167,22 @@ def cmd_support_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_reduce_support(args) -> int:
-    if args.fixture:
-        data = load_fixture(args.fixture)
-    else:
-        with open(args.input) as fh:
-            data = json.load(fh)
+def _reduction_instance(data) -> tuple:
     p = int(data["p"])
-    horizon = int(data["horizon"])
-    base = [Vector.from_text(t, p) for t in data["A"]]
-    supp = [Vector.from_text(t, p) for t in data["B"]]
-    x = hf_from_json(data["x"], p)
-    orbit_set = FiniteSet(hf_from_json(m, p) for m in data["X"])
+    return (
+        p,
+        int(data["horizon"]),
+        [Vector.from_text(t, p) for t in data["A"]],
+        [Vector.from_text(t, p) for t in data["B"]],
+        hf_from_json(data["x"], p),
+        FiniteSet(hf_from_json(m, p) for m in data["X"]),
+    )
+
+
+def cmd_reduce_support(args) -> int:
+    p, horizon, base, supp, x, orbit_set = read_input(
+        _reduction_instance, args.fixture, args.input
+    )
     result, trace = find_small_support(
         x, orbit_set, base, supp, horizon, p, cap=args.cap_enum
     )
@@ -203,36 +226,32 @@ def cmd_logstar(args) -> int:
     return 0
 
 
+def _stream_terms(data) -> tuple[int, list[Vector]]:
+    p = int(data["p"])
+    return p, [Vector.from_text(t, p) for t in data["vectors"]]
+
+
 def cmd_extract_thin(args) -> int:
     if args.stream == "canonical":
         p = 2 if args.p is None else args.p
         stream = VectorStream(canonical_stream(p), p)
     else:
-        if args.fixture:
-            data = load_fixture(args.fixture)
+        if args.stream == "fixture":
+            p, terms = read_input(_stream_terms, args.fixture or "stream-canonical-p2")
         else:
-            with open(args.input) as fh:
-                data = json.load(fh)
-        p = int(data["p"])
+            p, terms = read_input(_stream_terms, path=args.input)
         if args.p is not None and args.p != p:
             raise UsageError(f"fixture has p={p}, flag says p={args.p}")
-        terms = [Vector.from_text(t, p) for t in data["vectors"]]
         stream = VectorStream(iter(terms), p)
     indices, cert = extract_thin_subsequence(stream, args.count, p, window=args.window)
-    payload = {
-        "indices": list(indices),
-        "certificate": certificate_to_json(cert),
-    }
+    payload = {"indices": list(indices), "certificate": cert}
     text = "indices: " + ",".join(str(i) for i in indices)
     emit(args, payload, text)
     return 0
 
 
 def cmd_certify(args) -> int:
-    with open(args.input) as fh:
-        data = json.load(fh)
-    cert = certificate_from_json(data)
-    problems = certificate_violations(cert)
+    problems = read_input(certificate_violations, path=args.input)
     ok = not problems
     payload = {"valid": ok, "problems": problems}
     text = "valid" if ok else "invalid\n" + "\n".join(problems)
@@ -257,8 +276,7 @@ def cmd_refute_pcf(args) -> int:
         data = load_fixture(args.fixture)
         levels, s = int(data["levels"]), [int(i) for i in data["s"]]
     else:
-        levels = args.levels
-        s = [int(t) for t in args.s.split(",") if t.strip() != ""] if args.s else []
+        levels, s = args.levels, args.s or []
     tower = build_tower(levels, cap=args.cap_tower)
     report = refute_pcf(tower, s)
     lines = [
@@ -300,16 +318,37 @@ SHARED_FLAGS = {
 }
 
 
+class RuleParser(argparse.ArgumentParser):
+    """An ArgumentParser that also enforces flag rules argparse cannot
+    state: each rule is a (broken, message) pair, and parsing fails with
+    the message when ``broken`` holds for the parsed flags."""
+
+    def __init__(self, *args, rules=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rules = rules
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for broken, message in self.rules:
+            if broken(namespace):
+                self.error(message)
+        return namespace, extras
+
+
+def level_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",") if t.strip() != ""]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = RuleParser(
         prog="atomlab",
         description="Finite-horizon group actions on atoms: supports, "
         "density ideals, pair towers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *shared):
-        sp = sub.add_parser(name, help=help)
+    def command(name, func, help, *shared, rules=()):
+        sp = sub.add_parser(name, help=help, rules=rules)
         sp.add_argument("--json", action="store_true", help="emit JSON")
         sp.add_argument("--output", help="write the report to this file")
         for flag in shared:
@@ -321,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("act", cmd_act, "apply a group element", "--p")
     sp.add_argument("--g", required=True, help="group element, e.g. 1,0")
-    sp.add_argument("--atom", help="atom text (a|w)")
-    sp.add_argument("--x", help="HF object JSON")
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--atom", help="atom text (a|w)")
+    target.add_argument("--x", help="HF object JSON")
 
     sp = command("orbit", cmd_orbit, "orbit of an HF object", *group_flags)
     sp.add_argument("--x", required=True, help="HF object JSON")
@@ -366,7 +406,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("logstar", cmd_logstar, "iterated logarithm log*_p", "--p")
     sp.add_argument("--n", type=int, required=True)
 
-    sp = command("extract-thin", cmd_extract_thin, "extract a sparse subsequence")
+    sp = command(
+        "extract-thin",
+        cmd_extract_thin,
+        "extract a sparse subsequence",
+        rules=(
+            (
+                lambda a: a.fixture and a.stream != "fixture",
+                "--fixture needs --stream fixture",
+            ),
+            (lambda a: a.input and a.stream != "file", "--input needs --stream file"),
+            (
+                lambda a: a.stream == "file" and not a.input,
+                "--stream file needs --input",
+            ),
+        ),
+    )
     sp.add_argument(
         "--p", type=int, help="prime modulus (default: the stream's, 2 if canonical)"
     )
@@ -376,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["canonical", "fixture", "file"],
         help="term source",
     )
-    sp.add_argument("--fixture", help="bundled stream name")
+    sp.add_argument(
+        "--fixture", help="bundled stream name (default stream-canonical-p2)"
+    )
     sp.add_argument("--input", help="stream JSON file")
     sp.add_argument("--count", type=int, default=3, help="how many indices")
     sp.add_argument("--window", type=int, default=256, help="lookahead window")
@@ -392,10 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_refute_pcf,
         "defeat a proposed partial-choice support",
         "--cap-tower",
+        rules=((lambda a: a.fixture and a.s is not None, "--s needs --levels"),),
     )
-    sp.add_argument("--levels", type=int, help="tower height")
-    sp.add_argument("--s", default="", help="proposed support levels, e.g. 0,2")
-    sp.add_argument("--fixture", help="bundled instance, e.g. refute-n4")
+    instance = sp.add_mutually_exclusive_group(required=True)
+    instance.add_argument("--levels", type=int, help="tower height")
+    instance.add_argument("--fixture", help="bundled instance, e.g. refute-n4")
+    sp.add_argument(
+        "--s", type=level_list, help="proposed support levels, e.g. 0,2 (default none)"
+    )
 
     sp = command(
         "verify-all", cmd_verify_all, "run every property and acceptance suite"
@@ -413,19 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use, once per process: building takes longer than most
+# subcommands run
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "act" and (args.atom is None) == (args.x is None):
-            parser.error("act needs exactly one of --atom or --x")
-        if args.command == "extract-thin":
-            if args.stream == "fixture" and not args.fixture:
-                args.fixture = "stream-canonical-p2"
-            if args.stream == "file" and not args.input:
-                parser.error("--stream file needs --input")
-        if args.command == "refute-pcf" and not args.fixture and args.levels is None:
-            parser.error("refute-pcf needs --levels or --fixture")
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -75,10 +75,6 @@ class Vector:
         return not self.entries
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
-    @property
     def max_index(self) -> int:
         """Largest coordinate with a nonzero entry; -1 for the zero vector."""
         return self.entries[-1][0] if self.entries else -1
@@ -162,10 +158,6 @@ class Vector:
 
     def __repr__(self):
         return self.to_text(zero=ZERO_TEXT_REPORT)
-
-
-def zero_vector(p: int) -> Vector:
-    return Vector(p)
 
 
 def unit(p: int, i: int) -> Vector:
@@ -293,10 +285,6 @@ def span_of(gens: Iterable[Vector], p: int | None = None) -> Subspace:
     if p is None:
         raise UsageError("span of an empty set needs an explicit p")
     return Subspace(p, tuple(rows))
-
-
-def in_span(v: Vector, s: Subspace) -> bool:
-    return s.contains(v)
 
 
 def complement_within(s: Subspace, horizon: int) -> Subspace:

@@ -8,7 +8,9 @@ Floating point never enters, so boundary values are classified exactly.
 Thinness is a limit statement and is never "decided" for arbitrary
 sets; instead, certificates are issued for the four closed-form classes
 (finite set, finite union, span of a finite set, extracted stream) and
-validated arithmetically.
+validated arithmetically.  A certificate is the JSON object that
+``certify`` reads and ``extract-thin`` prints; the README lists each
+kind's fields.
 """
 
 from __future__ import annotations
@@ -28,28 +30,25 @@ from .fp_core import (
 )
 
 DEFAULT_WINDOW = 256
-
-_towers: dict[int, list[int]] = {}
-
-
-def _tower_list(p: int, upto: int) -> list[int]:
-    """Towers of p, extended until the last one reaches ``upto``."""
-    check_prime(p)
-    ts = _towers.setdefault(p, [1])
-    while ts[-1] < upto:
-        ts.append(p ** ts[-1])
-    return ts
+CERTIFICATE_KINDS = ("finite-set", "span-of-finite", "extracted-stream", "finite-union")
 
 
 def log_star_p(n: int, p: int) -> int:
-    """Least k whose height-k tower of p reaches n (n >= 1)."""
+    """Least k whose height-k tower of p reaches n (n >= 1).
+
+    A tower t >= n.bit_length() ends the search without computing the
+    next tower: p ** t >= 2 ** t > n.
+    """
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"log* is defined for integers n >= 1, got {n!r}")
-    ts = _tower_list(p, n)
-    for k, t in enumerate(ts):
-        if t >= n:
-            return k
-    raise AssertionError("unreachable")
+    check_prime(p)
+    k, t = 0, 1
+    while t < n:
+        k += 1
+        if t >= n.bit_length():
+            break
+        t = p**t
+    return k
 
 
 def density_d_k(
@@ -205,56 +204,19 @@ def _stable_from(
     return compared > 0, None
 
 
-@dataclass(frozen=True)
-class FiniteSetCert:
-    """A finite set is thin: its densities are bounded outright."""
-
-    p: int
-    elements: tuple[Vector, ...]
-
-
-@dataclass(frozen=True)
-class SpanOfFiniteCert:
-    """The span of a finite set is thin."""
-
-    p: int
-    generators: tuple[Vector, ...]
-
-
-@dataclass(frozen=True)
-class ExtractedStreamCert:
-    """Checkpoints (n_i, bound) with the extracted set satisfying
-    d_{n_i} <= bound <= i+1 and log*(n_i) > i for i >= 1.
-
-    ``window`` records the lookahead actually inspected: the stream's
-    for-all-later-terms stability condition was only checked that far, so
-    every checkpoint index must lie below it.
-    """
-
-    p: int
-    checkpoints: tuple[tuple[int, int], ...]
-    window: int
-
-
-@dataclass(frozen=True)
-class FiniteUnionCert:
-    children: tuple["ThinCertificate", ...]
-
-
-ThinCertificate = Union[
-    FiniteSetCert, SpanOfFiniteCert, ExtractedStreamCert, FiniteUnionCert
-]
-
-
 def extract_thin_subsequence(
     stream: VectorStream, count: int, p: int, window: int = DEFAULT_WINDOW
-) -> tuple[tuple[int, ...], ExtractedStreamCert]:
+) -> tuple[tuple[int, ...], dict]:
     """Select count indices n_0 = 0 < n_1 < ... whose terms form a sparse set.
 
     n_{i+1} is the least in-window index c with log*_p(c) > i + 1 whose
     length-c prefix has already stabilized at c (within the window).  The
     stabilization requirement makes every later selected term agree with
     x_{n_{i+1}} below n_{i+1}, which is what pins d_{n_i} <= i + 1.
+
+    Returns the indices and their extracted-stream certificate, whose
+    ``window`` records the lookahead actually inspected: later terms were
+    only checked that far, so every checkpoint index lies below it.
     """
     if count < 1:
         raise UsageError("need count >= 1")
@@ -263,27 +225,23 @@ def extract_thin_subsequence(
     indices = [0]
     stream.get(0)
     for i in range(count - 1):
-        # log*(c) > i+1 iff c > tower(p, i+1); extend towers only while
-        # they stay below the window, anything larger is out of reach
-        ts = _tower_list(p, 1)
-        while len(ts) <= i + 1 and ts[-1] <= window:
-            ts = _tower_list(p, ts[-1] + 1)
-        if len(ts) <= i + 1 or ts[i + 1] + 1 >= window:
+        # log* is non-decreasing, so some index below the window has
+        # log* > i+1 exactly when window - 1 does
+        if window < 2 or log_star_p(window - 1, p) <= i + 1:
             raise WindowExhaustedError(
                 f"window {window} holds no index with log* above {i + 1}"
             )
-        c = max(indices[-1] + 1, ts[i + 1] + 1)
-        found = None
+        c = indices[-1] + 1
+        while log_star_p(c, p) <= i + 1:
+            c += 1
         last_coord = None
-        while c < window:
+        for c in range(c, window):
             ok, coord = _stable_from(stream, c, window)
             if ok:
-                found = c
                 break
             if coord is not None:
                 last_coord = coord
-            c += 1
-        if found is None:
+        else:
             raise WindowExhaustedError(
                 f"no admissible index for checkpoint {i + 1} within window "
                 f"{window}"
@@ -294,7 +252,7 @@ def extract_thin_subsequence(
                 ),
                 coordinate=last_coord,
             )
-        indices.append(found)
+        indices.append(c)
     selected = [stream.get(j) for j in indices]
     checkpoints = []
     for i, n_i in enumerate(indices):
@@ -304,109 +262,70 @@ def extract_thin_subsequence(
                 f"checkpoint {i}: density {d} exceeds bound {i + 1}; the "
                 "stream was not stable enough in the inspected window"
             )
-        checkpoints.append((n_i, i + 1))
-    return tuple(indices), ExtractedStreamCert(p, tuple(checkpoints), window)
+        checkpoints.append([n_i, i + 1])
+    cert = {
+        "kind": "extracted-stream",
+        "p": p,
+        "window": window,
+        "checkpoints": checkpoints,
+    }
+    return tuple(indices), cert
 
 
 # ---------------------------------------------------------------------------
-# Certificate validation and JSON forms
+# Certificate validation
 # ---------------------------------------------------------------------------
 
 
-def certificate_violations(cert: ThinCertificate, path: str = "") -> list[str]:
-    """All arithmetic problems in the certificate; empty means valid."""
+def certificate_violations(cert, path: str = "") -> list[str]:
+    """All arithmetic problems in a certificate (its JSON object); empty
+    means valid.  A malformed shape raises CertificateError."""
     where = path or "certificate"
-    if isinstance(cert, FiniteSetCert):
-        return []
-    if isinstance(cert, SpanOfFiniteCert):
-        return []
-    if isinstance(cert, FiniteUnionCert):
-        problems = []
-        for idx, child in enumerate(cert.children):
-            problems.extend(certificate_violations(child, f"{where}.children[{idx}]"))
-        return problems
-    if isinstance(cert, ExtractedStreamCert):
-        problems = []
-        if not cert.checkpoints:
-            problems.append(f"{where}: no checkpoints")
-            return problems
-        prev = -1
-        for i, (n_i, bound) in enumerate(cert.checkpoints):
-            tag = f"{where}.checkpoints[{i}]"
-            if n_i <= prev:
-                problems.append(f"{tag}: indices must strictly increase")
-            prev = n_i
-            if bound > i + 1:
-                problems.append(f"{tag}: density bound {bound} exceeds {i + 1}")
-            if i >= 1:
-                got = log_star_p(n_i, cert.p) if n_i >= 1 else None
-                if got is None or got <= i:
-                    problems.append(
-                        f"{tag}: log*_{cert.p}({n_i}) = {got} is not > {i}"
-                    )
-            if n_i >= cert.window:
-                problems.append(
-                    f"{tag}: index {n_i} is outside the inspected window {cert.window}"
-                )
-        return problems
-    raise CertificateError(f"unknown certificate object {type(cert).__name__}")
-
-
-def certify_thin(cert: ThinCertificate) -> bool:
-    return not certificate_violations(cert)
-
-
-def certificate_to_json(cert: ThinCertificate) -> dict:
-    if isinstance(cert, FiniteSetCert):
-        return {
-            "kind": "finite-set",
-            "p": cert.p,
-            "elements": [v.to_text() for v in cert.elements],
-        }
-    if isinstance(cert, SpanOfFiniteCert):
-        return {
-            "kind": "span-of-finite",
-            "p": cert.p,
-            "generators": [v.to_text() for v in cert.generators],
-        }
-    if isinstance(cert, ExtractedStreamCert):
-        return {
-            "kind": "extracted-stream",
-            "p": cert.p,
-            "window": cert.window,
-            "checkpoints": [[n, b] for n, b in cert.checkpoints],
-        }
-    if isinstance(cert, FiniteUnionCert):
-        return {
-            "kind": "finite-union",
-            "children": [certificate_to_json(c) for c in cert.children],
-        }
-    raise CertificateError(f"unknown certificate object {type(cert).__name__}")
-
-
-def certificate_from_json(obj) -> ThinCertificate:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise CertificateError(f"certificate JSON must be an object with a kind: {obj!r}")
-    kind = obj["kind"]
+    if not isinstance(cert, dict) or "kind" not in cert:
+        raise CertificateError(
+            f"certificate JSON must be an object with a kind: {cert!r}"
+        )
+    kind = cert["kind"]
+    if kind not in CERTIFICATE_KINDS:
+        raise CertificateError(f"unknown certificate kind {kind!r}")
     try:
-        if kind == "finite-set":
-            p = check_prime(int(obj["p"]))
-            return FiniteSetCert(
-                p, tuple(Vector.from_text(t, p) for t in obj["elements"])
-            )
-        if kind == "span-of-finite":
-            p = check_prime(int(obj["p"]))
-            return SpanOfFiniteCert(
-                p, tuple(Vector.from_text(t, p) for t in obj["generators"])
-            )
-        if kind == "extracted-stream":
-            p = check_prime(int(obj["p"]))
-            cps = tuple((int(n), int(b)) for n, b in obj["checkpoints"])
-            return ExtractedStreamCert(p, cps, int(obj["window"]))
         if kind == "finite-union":
-            return FiniteUnionCert(
-                tuple(certificate_from_json(c) for c in obj["children"])
-            )
-    except (KeyError, TypeError, ValueError, UsageError) as exc:
+            # a malformed child surfaces as this union's CertificateError
+            return [
+                problem
+                for idx, child in enumerate(cert["children"])
+                for problem in certificate_violations(child, f"{where}.children[{idx}]")
+            ]
+        p = check_prime(int(cert["p"]))
+        if kind != "extracted-stream":
+            for text in cert["elements" if kind == "finite-set" else "generators"]:
+                Vector.from_text(text, p)
+            return []
+        checkpoints = [(int(n), int(b)) for n, b in cert["checkpoints"]]
+        window = int(cert["window"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CertificateError(f"malformed {kind} certificate: {exc}") from None
-    raise CertificateError(f"unknown certificate kind {kind!r}")
+    if not checkpoints:
+        return [f"{where}: no checkpoints"]
+    problems = []
+    prev = -1
+    for i, (n_i, bound) in enumerate(checkpoints):
+        tag = f"{where}.checkpoints[{i}]"
+        if n_i <= prev:
+            problems.append(f"{tag}: indices must strictly increase")
+        prev = n_i
+        if bound > i + 1:
+            problems.append(f"{tag}: density bound {bound} exceeds {i + 1}")
+        if i >= 1:
+            got = log_star_p(n_i, p) if n_i >= 1 else None
+            if got is None or got <= i:
+                problems.append(f"{tag}: log*_{p}({n_i}) = {got} is not > {i}")
+        if n_i >= window:
+            problems.append(
+                f"{tag}: index {n_i} is outside the inspected window {window}"
+            )
+    return problems
+
+
+def certify_thin(cert) -> bool:
+    return not certificate_violations(cert)

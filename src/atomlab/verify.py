@@ -41,11 +41,9 @@ from .fp_core import (
     Subspace,
     Vector,
     complement_within,
-    in_span,
     project_prefix,
     span_of,
     unit,
-    zero_vector,
 )
 from .supports import find_small_support, is_support
 from .thin_ideal import (
@@ -208,13 +206,13 @@ def suite_fp_core(cfg: VerifyConfig) -> list[Check]:
             s = span_of(gens, p)
             reachable = set()
             for coeffs in itertools.product(range(p), repeat=len(gens)):
-                v = zero_vector(p)
+                v = Vector(p)
                 for c, g in zip(coeffs, gens):
                     v = v + g.scale(c)
                 reachable.add(v)
             space = span_of((unit(p, i) for i in range(4)), p)
             for v in space.enumerate_elements():
-                if in_span(v, s) != (v in reachable):
+                if s.contains(v) != (v in reachable):
                     ok = False
     checks.append(Check("membership-vs-brute-force", ok))
     return checks

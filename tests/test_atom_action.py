@@ -26,7 +26,7 @@ from atomlab.atom_action import (
     to_kuratowski,
 )
 from atomlab.errors import ResourceError, UsageError
-from atomlab.fp_core import span_of, unit, zero_vector
+from atomlab.fp_core import Vector, span_of, unit
 
 
 def e(i, p=2):
@@ -45,7 +45,7 @@ class TestActAtom:
     def test_zero_cell_fixed_by_everything(self):
         for coords in itertools.product(range(2), repeat=3):
             g = GroupElement(2, coords)
-            a = atom(1, zero_vector(2))
+            a = atom(1, Vector(2))
             assert act_atom(a, g) == a
 
     def test_formula_mod_three(self):
@@ -246,7 +246,7 @@ class TestSerialization:
         a = atom(1, e(0) + e(2))
         assert a.to_text() == "(1|0:1,2:1)"
         assert Atom.from_text("(1|0:1,2:1)", 2) == a
-        assert Atom.from_text("(1|)", 2) == atom(1, zero_vector(2))
+        assert Atom.from_text("(1|)", 2) == atom(1, Vector(2))
 
     def test_group_element_text(self):
         g = GroupElement(3, (1, 0, 2))
@@ -257,7 +257,7 @@ class TestSerialization:
         x = FiniteSet(
             [
                 pair(leaf(0, e(0)), leaf(1, e(1))),
-                AtomLeaf(atom(1, zero_vector(2))),
+                AtomLeaf(atom(1, Vector(2))),
                 FiniteSet([]),
             ]
         )

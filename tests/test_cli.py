@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from atomlab.cli import main
 
 MATCHING = (
@@ -262,3 +264,50 @@ def test_certify_checks_window(tmp_path, capsys):
     path.write_text(json.dumps(cert))
     code, _, _ = run(capsys, "certify", "--input", str(path))
     assert code == 2
+
+
+def test_logstar_past_a_huge_tower(capsys):
+    # one above tower(3, 3) = 3^27: the next tower, 3^(3^27), must not be built
+    code, out, _ = run(capsys, "logstar", "--p", "3", "--n", "7625597484988")
+    assert (code, out.strip()) == (0, "4")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--input", "missing.json"], "cannot read"),
+        (["certify", "--input", "truncated.json"], "cannot read"),
+        (["act", "--g", "1,0", "--x", '{"atom": 5}'], "bad HF JSON node"),
+        (["act", "--g", "1,0", "--x", '{"set": 5}'], "bad HF JSON node"),
+        (["reduce-support", "--input", "p_only.json"], "KeyError: 'horizon'"),
+        (["extract-thin", "--stream", "file", "--input", "p_only.json"],
+         "KeyError: 'vectors'"),
+    ],
+    ids=["missing-file", "truncated-json", "atom-not-text", "set-not-list",
+         "reduce-support-missing-keys", "extract-thin-missing-keys"],
+)  # fmt: skip
+def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
+    (tmp_path / "truncated.json").write_text('{"kind": "finite-set", "p": 2, "elem')
+    (tmp_path / "p_only.json").write_text('{"p": 2}')
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["refute-pcf", "--fixture", "refute-n4", "--levels", "9"],
+        ["refute-pcf", "--fixture", "refute-n4", "--s", "3"],
+        ["extract-thin", "--input", "stream.json"],
+        ["extract-thin", "--stream", "canonical", "--fixture", "stream-canonical-p2"],
+        ["extract-thin", "--stream", "fixture", "--input", "stream.json"],
+    ],
+    ids=["refute-fixture-levels", "refute-fixture-s", "extract-input-no-file",
+         "extract-canonical-fixture", "extract-fixture-input"],
+)  # fmt: skip
+def test_flags_the_route_ignores_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"atomlab {argv[0]}: error:" in err

@@ -1,8 +1,13 @@
-"""Property tests for the F_p core and the action on HF objects.
+"""Property tests for the F_p core, the action on HF objects, supports,
+log* and thinness certificates.
 
 Hypothesis draws random objects at p in {2, 3}; the examples are
 derandomized so that every run checks the same cases.
 """
+
+import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +24,11 @@ from atomlab.atom_action import (
     hf_from_json,
     hf_to_json,
 )
-from atomlab.errors import UsageError
+from atomlab.errors import CertificateError, UsageError
 from atomlab.fp_core import Vector, span_of
+from atomlab.supports import find_small_support, is_support
+from atomlab.thin_ideal import certificate_violations, log_star_p
+from atomlab.verify import iterated_log_star, random_reduction_instance, support_oracle
 
 HORIZON = 3
 PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -110,3 +118,91 @@ def test_span_ignores_generator_order(data):
     gens = data.draw(st.lists(vectors(p), max_size=5))
     shuffled = data.draw(st.permutations(gens))
     assert span_of(gens, p) == span_of(shuffled, p)
+
+
+@PROPERTY
+@given(st.data())
+def test_span_membership_matches_brute_force_combinations(data):
+    p = data.draw(primes)
+    gens = data.draw(st.lists(vectors(p), max_size=4))
+    combinations = set()
+    for coeffs in itertools.product(range(p), repeat=len(gens)):
+        v = Vector(p)
+        for c, g in zip(coeffs, gens):
+            v = v + g.scale(c)
+        combinations.add(v)
+    span = span_of(gens, p)
+    for coords in itertools.product(range(p), repeat=HORIZON):
+        v = Vector.from_dict(p, dict(enumerate(coords)))
+        assert span.contains(v) == (v in combinations)
+
+
+@PROPERTY
+@given(st.data())
+def test_support_stays_a_support_when_a_vector_is_added(data):
+    p = data.draw(primes)
+    x = data.draw(hf_objects(p))
+    a = data.draw(st.lists(vectors(p), max_size=3))
+    v = data.draw(vectors(p))
+    assert not is_support(a, x, HORIZON, p) or is_support(a + [v], x, HORIZON, p)
+
+
+@PROPERTY
+@given(primes, st.integers(2, 4), st.integers(0, 2**32))
+def test_reduced_support_is_a_support_by_brute_force(p, horizon, seed):
+    base, supp, x, x_orbit = random_reduction_instance(random.Random(seed), p, horizon)
+    result, _ = find_small_support(x, x_orbit, base, supp, horizon, p)
+    assert len(result) <= len(base) + 1
+    assert support_oracle(tuple(result), x, horizon, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_logstar_matches_iterated_log_around_every_tower_below_2_to_70000(p):
+    t = 1
+    while t.bit_length() <= 70000:
+        for n in (t - 1, t, t + 1):
+            if n >= 1:
+                assert log_star_p(n, p) == iterated_log_star(n, p), (p, n)
+        if t >= 70000:
+            break  # the next tower, p ** t >= 2 ** 70000, is never built
+        t = p**t
+
+
+def certificates():
+    """Certificate JSON objects, valid and not (p = 4 is not prime), with
+    tuples where JSON has lists, so that a dump and load changes their
+    Python types."""
+    moduli = st.sampled_from([2, 3, 4])
+    texts = st.lists(vectors(3).map(Vector.to_text), max_size=3).map(tuple)
+    checkpoints = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)), max_size=4)
+    leaves = (
+        st.fixed_dictionaries({"kind": st.just("finite-set"), "p": moduli,
+                               "elements": texts})
+        | st.fixed_dictionaries({"kind": st.just("span-of-finite"), "p": moduli,
+                                 "generators": texts})
+        | st.fixed_dictionaries({"kind": st.just("extracted-stream"), "p": moduli,
+                                 "window": st.integers(0, 64),
+                                 "checkpoints": checkpoints.map(tuple)})
+    )  # fmt: skip
+    children = lambda inner: st.lists(inner, max_size=3).map(tuple)  # noqa: E731
+    return st.recursive(
+        leaves,
+        lambda inner: st.fixed_dictionaries(
+            {"kind": st.just("finite-union"), "children": children(inner)}
+        ),
+        max_leaves=6,
+    )
+
+
+def verdict(cert):
+    try:
+        return certificate_violations(cert)
+    except CertificateError as exc:
+        return f"error: {exc}"
+
+
+@PROPERTY
+@given(st.data())
+def test_certificate_verdict_survives_json_round_trip(data):
+    cert = data.draw(certificates())
+    assert verdict(json.loads(json.dumps(cert))) == verdict(cert)

@@ -3,16 +3,10 @@ import random
 import pytest
 
 from atomlab.errors import CertificateError, UsageError, WindowExhaustedError
-from atomlab.fp_core import Vector, project_prefix, span_of, unit, zero_vector
+from atomlab.fp_core import Vector, project_prefix, span_of, unit
 from atomlab.thin_ideal import (
-    ExtractedStreamCert,
-    FiniteSetCert,
-    FiniteUnionCert,
-    SpanOfFiniteCert,
     VectorStream,
     canonical_stream,
-    certificate_from_json,
-    certificate_to_json,
     certificate_violations,
     certify_thin,
     check_span_density_bound,
@@ -25,6 +19,23 @@ from atomlab.thin_ideal import (
 
 def e(i, p=2):
     return unit(p, i)
+
+
+def finite_set(p, *vectors):
+    return {"kind": "finite-set", "p": p, "elements": [v.to_text() for v in vectors]}
+
+
+def span_of_finite(p, *vectors):
+    return {"kind": "span-of-finite", "p": p, "generators": [v.to_text() for v in vectors]}
+
+
+def stream_cert(p, checkpoints, window):
+    return {"kind": "extracted-stream", "p": p, "window": window,
+            "checkpoints": [list(c) for c in checkpoints]}  # fmt: skip
+
+
+def union(*children):
+    return {"kind": "finite-union", "children": list(children)}
 
 
 def logstar_by_iterated_log(n, p):
@@ -159,7 +170,7 @@ class TestExtraction:
         stream = VectorStream(iter(terms), 2)
         idx, cert = extract_thin_subsequence(stream, 3, 2, window=64)
         assert idx == (0, 3, 5)
-        assert cert.checkpoints == ((0, 1), (3, 2), (5, 3))
+        assert cert == stream_cert(2, ((0, 1), (3, 2), (5, 3)), 64)
         assert certify_thin(cert)
 
     def test_canonical_stream_fourth_index(self):
@@ -189,7 +200,7 @@ class TestExtraction:
 
     def test_unstable_coordinate_diagnosed(self):
         # coordinate 0 never settles
-        terms = [e(5 + n) + (e(0) if n % 2 else zero_vector(2)) for n in range(40)]
+        terms = [e(5 + n) + (e(0) if n % 2 else Vector(2)) for n in range(40)]
         stream = VectorStream(iter(terms), 2)
         with pytest.raises(WindowExhaustedError) as exc_info:
             extract_thin_subsequence(stream, 2, 2, window=16)
@@ -222,43 +233,28 @@ class TestExtraction:
 
 class TestCertificates:
     def test_finite_set_valid(self):
-        assert certify_thin(FiniteSetCert(2, (e(0), e(1))))
+        assert certify_thin(finite_set(2, e(0), e(1)))
 
     def test_union_of_valid_is_valid(self):
-        cert = FiniteUnionCert(
-            (
-                FiniteSetCert(2, (e(0),)),
-                SpanOfFiniteCert(2, (e(1), e(2))),
-            )
-        )
+        cert = union(finite_set(2, e(0)), span_of_finite(2, e(1), e(2)))
         assert certify_thin(cert)
 
     def test_bad_checkpoint_diagnosed(self):
-        cert = ExtractedStreamCert(2, ((0, 1), (2, 2), (5, 3)), 64)
+        cert = stream_cert(2, ((0, 1), (2, 2), (5, 3)), 64)
         assert not certify_thin(cert)
         problems = certificate_violations(cert)
         assert any("checkpoints[1]" in p for p in problems)
 
     def test_bad_density_bound_diagnosed(self):
-        cert = ExtractedStreamCert(2, ((0, 1), (3, 5)), 64)
+        cert = stream_cert(2, ((0, 1), (3, 5)), 64)
         problems = certificate_violations(cert)
         assert any("density bound" in p for p in problems)
 
     def test_union_propagates_child_problems(self):
-        bad = ExtractedStreamCert(2, ((0, 1), (2, 2)), 64)
-        cert = FiniteUnionCert((FiniteSetCert(2, ()), bad))
+        bad = stream_cert(2, ((0, 1), (2, 2)), 64)
+        cert = union(finite_set(2), bad)
         problems = certificate_violations(cert)
         assert any("children[1]" in p for p in problems)
-
-    def test_json_round_trip(self):
-        cert = FiniteUnionCert(
-            (
-                FiniteSetCert(2, (e(0),)),
-                ExtractedStreamCert(2, ((0, 1), (3, 2)), 64),
-                SpanOfFiniteCert(3, (e(0, 3),)),
-            )
-        )
-        assert certificate_from_json(certificate_to_json(cert)) == cert
 
     def test_non_prime_modulus_rejected(self):
         for kind, key in (
@@ -266,36 +262,38 @@ class TestCertificates:
             ("span-of-finite", "generators"),
         ):
             with pytest.raises(CertificateError):
-                certificate_from_json({"kind": kind, "p": 4, key: []})
+                certificate_violations({"kind": kind, "p": 4, key: []})
         with pytest.raises(CertificateError):
-            certificate_from_json(
+            certificate_violations(
                 {"kind": "extracted-stream", "p": 4, "window": 8,
                  "checkpoints": [[0, 1]]}
             )  # fmt: skip
 
     def test_checkpoint_beyond_window_diagnosed(self):
-        cert = ExtractedStreamCert(2, ((0, 1), (3, 2), (5, 3)), 3)
+        cert = stream_cert(2, ((0, 1), (3, 2), (5, 3)), 3)
         problems = certificate_violations(cert)
         assert [p.split(":")[0] for p in problems] == [
             "certificate.checkpoints[1]",
             "certificate.checkpoints[2]",
         ]
         assert all("window 3" in p for p in problems)
-        assert certify_thin(ExtractedStreamCert(2, cert.checkpoints, 6))
+        assert certify_thin(dict(cert, window=6))
 
     def test_stream_certificate_needs_window(self):
         with pytest.raises(CertificateError):
-            certificate_from_json(
+            certificate_violations(
                 {"kind": "extracted-stream", "p": 2, "checkpoints": [[0, 1]]}
             )
 
     def test_malformed_json_rejected(self):
         with pytest.raises(CertificateError):
-            certificate_from_json({"kind": "mystery"})
+            certificate_violations({"kind": "mystery"})
         with pytest.raises(CertificateError):
-            certificate_from_json({"kind": "finite-set", "p": 2})
+            certificate_violations({"kind": "finite-set", "p": 2})
         with pytest.raises(CertificateError):
-            certificate_from_json([1, 2, 3])
+            certificate_violations([1, 2, 3])
+        with pytest.raises(CertificateError):
+            certificate_violations({"kind": "finite-set", "p": 2, "elements": [5]})
 
 
 class TestProfile:
