@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InternalConsistencyError, ResourceError, UsageError
+from .errors import InternalConsistencyError, UsageError
 from .fp_core import (
     DEFAULT_ENUM_CAP,
     Subspace,
@@ -433,8 +433,6 @@ def orbit(
     x: HFObject, subgroup: GroupSubspace, cap: int = DEFAULT_ENUM_CAP
 ) -> frozenset[HFObject]:
     """{x.g : g in the subgroup}, by enumerating the subgroup."""
-    if subgroup.size > cap:
-        raise ResourceError(f"orbit enumeration over {subgroup.size} elements, cap {cap}")
     return frozenset(act_hf(x, g) for g in subgroup.elements(cap))
 
 
@@ -442,10 +440,6 @@ def stabilizer_in(
     x: HFObject, subgroup: GroupSubspace, cap: int = DEFAULT_ENUM_CAP
 ) -> GroupSubspace:
     """{g in subgroup : x.g = x}, returned as a coordinate subspace."""
-    if subgroup.size > cap:
-        raise ResourceError(
-            f"stabilizer enumeration over {subgroup.size} elements, cap {cap}"
-        )
     fixers = [g for g in subgroup.elements(cap) if act_hf(x, g) == x]
     space = span_of((g.as_vector() for g in fixers), subgroup.p)
     # fixing is preserved under composition, so the fixers must form a subspace

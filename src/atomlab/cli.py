@@ -6,9 +6,10 @@ residue lists like ``1,0,1``, and HF objects are JSON
 ({"atom": "(a|w)"} | {"set": [...]} | {"tuple": [...]}).
 
 Exit status is 0 iff every executed check passed (a false support-check
-or an invalid certificate exits 1); bad flags or inputs exit 2; a cap or
-lookahead window that runs out (ResourceError, WindowExhaustedError) or
-a failed runtime self-check (InternalConsistencyError) exits 3.
+or an invalid certificate exits 1); bad flags or inputs, and an --output
+file that cannot be written, exit 2; a cap or lookahead window that runs
+out (ResourceError, WindowExhaustedError) or a failed runtime self-check
+(InternalConsistencyError) exits 3.
 """
 
 from __future__ import annotations
@@ -34,16 +35,17 @@ from .atom_action import (
     sort_key,
     stabilizer_in,
 )
-from .counterexample import build_tower, refute_pcf
+from .counterexample import DEFAULT_TOWER_CAP, build_tower, refute_pcf
 from .errors import (
     CertificateError,
     InternalConsistencyError,
     ResourceError,
     UsageError,
 )
-from .fp_core import Vector, span_of
+from .fp_core import DEFAULT_ENUM_CAP, Vector, span_of
 from .supports import find_small_support, is_support
 from .thin_ideal import (
+    DEFAULT_WINDOW,
     VectorStream,
     canonical_stream,
     certificate_violations,
@@ -114,8 +116,11 @@ def emit(args, payload: dict, text: str) -> None:
     else:
         out = text if text.endswith("\n") else text + "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(out)
 
@@ -209,13 +214,13 @@ def cmd_density(args) -> int:
     vectors = parse_vector_set(args.vectors, args.p)
     source = span_of(vectors, args.p) if args.span else vectors
     if args.profile is not None:
-        profile = density_profile(source, args.profile, args.p, cap=args.cap_enum)
+        profile = density_profile(source, args.profile, args.p)
         rows = profile.csv_rows()
         buf = io.StringIO()
         csv.writer(buf).writerows(rows)
         emit(args, {"profile": rows[1:]}, buf.getvalue().rstrip("\n"))
         return 0
-    d = density_d_k(source, args.k, cap=args.cap_enum)
+    d = density_d_k(source, args.k)
     emit(args, {"k": args.k, "d_k": d}, str(d))
     return 0
 
@@ -313,8 +318,10 @@ def cmd_verify_all(args) -> int:
 SHARED_FLAGS = {
     "--p": dict(type=int, default=2, help="prime modulus (default 2)"),
     "--horizon": dict(type=int, default=3, help="coordinate cutoff (default 3)"),
-    "--cap-enum": dict(type=int, default=10**6, help="enumeration size cap"),
-    "--cap-tower": dict(type=int, default=12, help="tower height cap"),
+    "--cap-enum": dict(
+        type=int, default=DEFAULT_ENUM_CAP, help="enumeration size cap"
+    ),
+    "--cap-tower": dict(type=int, default=DEFAULT_TOWER_CAP, help="tower height cap"),
 }
 
 
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--fixture", help="bundled instance, e.g. matching-p2")
     group.add_argument("--input", help="instance JSON file")
 
-    sp = command("density", cmd_density, "prefix density d_k", "--p", "--cap-enum")
+    sp = command("density", cmd_density, "prefix density d_k", "--p")
     sp.add_argument("--vectors", default="", help="vectors, semicolon separated")
     sp.add_argument("--k", type=int, default=1, help="prefix length")
     sp.add_argument("--span", action="store_true", help="use the span of the vectors")
@@ -436,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--input", help="stream JSON file")
     sp.add_argument("--count", type=int, default=3, help="how many indices")
-    sp.add_argument("--window", type=int, default=256, help="lookahead window")
+    sp.add_argument(
+        "--window", type=int, default=DEFAULT_WINDOW, help="lookahead window"
+    )
 
     sp = command("certify", cmd_certify, "validate a thinness certificate")
     sp.add_argument("--input", required=True, help="certificate JSON file")
@@ -461,14 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command(
         "verify-all", cmd_verify_all, "run every property and acceptance suite"
     )
-    sp.add_argument("--seed", type=int, default=42, help="seed for randomized suites")
+    sp.add_argument(
+        "--seed", type=int, default=VerifyConfig.seed, help="seed for randomized suites"
+    )
     sp.add_argument(
         "--trials", type=int, help="scale randomized trial counts down to this"
     )
     sp.add_argument(
         "--logstar-max",
         type=int,
-        default=10**6,
+        default=VerifyConfig.logstar_max,
         help="upper bound for the log* cross-check",
     )
     return parser

@@ -234,9 +234,13 @@ class Subspace:
 
     def enumerate_elements(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Vector]:
         """All elements, coefficients over the basis in lexicographic order
-        (first basis vector most significant); the zero vector comes first."""
+        (first basis vector most significant); the zero vector comes first.
+        The one check of an enumeration against its cap: a subspace larger
+        than ``cap`` raises before anything is yielded."""
         if self.size > cap:
-            raise ResourceError(f"subspace has {self.size} elements, cap is {cap}")
+            raise ResourceError(
+                f"enumeration of {self.size} elements exceeds cap {cap}"
+            )
         for coeffs in itertools.product(range(self.p), repeat=self.dimension):
             v = Vector(self.p)
             for c, b in zip(coeffs, self.basis):

@@ -179,9 +179,13 @@ def reduce_support_step(
             "a genuine p-element orbit situation"
         )
 
+    # h is the first element of stab_x, in enumeration order, that does not
+    # fix at both b1 and b2.  That is the last basis element that does not:
+    # every element enumerated before it combines only later basis
+    # elements, and those all fix at b1 and b2.
     h = next(
         g
-        for g in stab_x.elements(cap)
+        for g in reversed(stab_x.basis_elements())
         if (b1.dot_dense(g.coords), b2.dot_dense(g.coords)) != (0, 0)
     )
     m = b1.dot_dense(h.coords)

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Union
 
 from .errors import CertificateError, UsageError, WindowExhaustedError
 from .fp_core import (
-    DEFAULT_ENUM_CAP,
     Subspace,
     Vector,
     check_prime,
@@ -51,17 +50,20 @@ def log_star_p(n: int, p: int) -> int:
     return k
 
 
-def density_d_k(
-    vectors: Union[Iterable[Vector], Subspace], k: int, cap: int = DEFAULT_ENUM_CAP
-) -> int:
-    """Number of distinct k-prefixes among the given vectors."""
+def density_d_k(vectors: Union[Iterable[Vector], Subspace], k: int) -> int:
+    """Number of distinct k-prefixes among the given vectors.
+
+    The k-prefixes of a subspace form the span of its basis's k-prefixes,
+    so a subspace's count is p ** (the rank of that span), not a listing.
+    """
     if isinstance(vectors, Subspace):
-        vectors = vectors.enumerate_elements(cap)
+        prefixes = (project_prefix(b, k) for b in vectors.basis)
+        return vectors.p ** span_of(prefixes, vectors.p).dimension
     return len({project_prefix(w, k) for w in vectors})
 
 
 def check_span_density_bound(
-    vectors: Iterable[Vector], k: int, p: int | None = None, cap: int = DEFAULT_ENUM_CAP
+    vectors: Iterable[Vector], k: int, p: int | None = None
 ) -> tuple[int, int, bool]:
     """Returns (d_k of the span, p ** d_k of the generators, lhs <= rhs)."""
     vectors = tuple(vectors)
@@ -69,8 +71,7 @@ def check_span_density_bound(
         if not vectors:
             raise UsageError("empty generating set needs an explicit p")
         p = vectors[0].p
-    spanned = span_of(vectors, p)
-    lhs = density_d_k(spanned, k, cap)
+    lhs = density_d_k(span_of(vectors, p), k)
     rhs = p ** density_d_k(vectors, k)
     return lhs, rhs, lhs <= rhs
 
@@ -100,23 +101,18 @@ class DensityProfile:
 
 
 def density_profile(
-    vectors: Union[Iterable[Vector], Subspace],
-    k_max: int,
-    p: int,
-    cap: int = DEFAULT_ENUM_CAP,
+    vectors: Union[Iterable[Vector], Subspace], k_max: int, p: int
 ) -> DensityProfile:
     """Profile at k = 1..k_max (k = 0 is skipped: log* needs n >= 1)."""
     if k_max < 1:
         raise UsageError("profile needs k_max >= 1")
-    if isinstance(vectors, Subspace):
-        vectors = tuple(vectors.enumerate_elements(cap))
-    else:
+    if not isinstance(vectors, Subspace):
         vectors = tuple(vectors)
-    if not vectors:
-        raise UsageError("profile of an empty set is all zeros; nothing to chart")
+        if not vectors:
+            raise UsageError("profile of an empty set is all zeros; nothing to chart")
     entries = []
     for k in range(1, k_max + 1):
-        d = density_d_k(vectors, k, cap)
+        d = density_d_k(vectors, k)
         entries.append((k, d, (log_star_p(d, p), log_star_p(k, p))))
     return DensityProfile(p, tuple(entries))
 

@@ -6,8 +6,9 @@ cannot change results), so identical configs give identical reports.
 
 Where an operation has a brute-force counterpart, the suite runs the
 brute force independently of the production route: support checks are
-re-done by enumerating the whole group with raw dot products, and log*
-is re-derived by iterating ceiling logs off a power table.
+re-done by enumerating the whole group with raw dot products, log* is
+re-derived by iterating ceiling logs, and span densities are re-counted
+over the listed span.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .atom_action import (
@@ -138,17 +138,15 @@ def support_oracle(
     return True
 
 
-_oracle_powers: dict[int, list[int]] = {}
-
-
 def iterated_log_star(n: int, p: int) -> int:
-    """log* by literally iterating the integer ceiling log until <= 1."""
-    powers = _oracle_powers.setdefault(p, [1])
+    """log* by literally iterating the integer ceiling log until <= 1; each
+    ceiling log multiplies by p until the power reaches n, keeping nothing."""
     k = 0
     while n > 1:
-        while powers[-1] < n:
-            powers.append(powers[-1] * p)
-        n = bisect_left(powers, n)
+        e, power = 0, 1
+        while power < n:
+            e, power = e + 1, power * p
+        n = e
         k += 1
     return k
 
@@ -460,7 +458,8 @@ def suite_density_ideal(cfg: VerifyConfig) -> list[Check]:
             if density_d_k(set(a) | set(b), k) > density_d_k(a, k) + density_d_k(b, k):
                 sub_ok = False
             lhs, rhs, ok = check_span_density_bound(a, k, p)
-            if not ok:
+            listed = span_of(a, p).enumerate_elements()
+            if not ok or lhs != len({project_prefix(v, k) for v in listed}):
                 span_ok = False
             if log_star_p(lhs, p) > 1 + log_star_p(density_d_k(a, k), p):
                 chain_ok = False

@@ -193,6 +193,11 @@ class TestOrbitStabilizer:
         with pytest.raises(ResourceError):
             orbit(x, GroupSubspace.full(2, 2), cap=3)
 
+    def test_stabilizer_cap_names_size_and_cap(self):
+        x = AtomLeaf(atom(0, e(0)))
+        with pytest.raises(ResourceError, match="enumeration of 4 elements exceeds cap 3"):
+            stabilizer_in(x, GroupSubspace.full(2, 2), cap=3)
+
 
 class TestActionLaws:
     def test_identity_and_composition_random(self):

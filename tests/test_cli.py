@@ -222,6 +222,7 @@ def test_unread_flags_rejected(capsys):
         ["verify-all", "--p", "5"],
         ["logstar", "--seed", "3", "--n", "4"],
         ["certify", "--horizon", "2", "--input", "unused.json"],
+        ["density", "--cap-enum", "5", "--vectors", "0:1"],
     ):
         code, _, _ = run(capsys, *argv)
         assert code == 2, argv
@@ -282,9 +283,12 @@ def test_logstar_past_a_huge_tower(capsys):
         (["reduce-support", "--input", "p_only.json"], "KeyError: 'horizon'"),
         (["extract-thin", "--stream", "file", "--input", "p_only.json"],
          "KeyError: 'vectors'"),
+        (["logstar", "--n", "16", "--output", "no_such_dir/out.json"],
+         "cannot write"),
     ],
     ids=["missing-file", "truncated-json", "atom-not-text", "set-not-list",
-         "reduce-support-missing-keys", "extract-thin-missing-keys"],
+         "reduce-support-missing-keys", "extract-thin-missing-keys",
+         "output-unwritable"],
 )  # fmt: skip
 def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
     (tmp_path / "truncated.json").write_text('{"kind": "finite-set", "p": 2, "elem')

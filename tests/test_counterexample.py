@@ -21,8 +21,12 @@ def e(i):
 class TestBuildTower:
     def test_level_zero_is_the_first_cell(self):
         tower = build_tower(1)
-        assert tower.levels[0] == tower.cells[0]
         assert set(tower.levels[0]) == {leaf(0, e(0)), leaf(1, e(0))}
+
+    def test_level_pairs_are_in_canonical_order(self):
+        tower = build_tower(10)
+        for n, level in enumerate(tower.levels):
+            assert list(tower.level_pair(n)) == level.sorted_members()
 
     def test_level_one_has_two_bijections(self):
         tower = build_tower(2)
@@ -123,13 +127,27 @@ class TestRefutePCF:
             refute_pcf(tower, {5})
 
     def test_exhaustive_small_heights(self):
+        # oracle: list every selection (a level below the swap is optional)
+        # and act on each of its picks
         for height in range(1, 6):
             tower = build_tower(height)
             levels = range(height)
             for r in range(height):
                 for s in itertools.combinations(levels, r):
                     report = refute_pcf(tower, s)
-                    assert report.swap_level == min(set(levels) - set(s))
+                    i = min(set(levels) - set(s))
+                    assert report.swap_level == i
+                    assert report.g == GroupElement.delta(2, height, i)
+                    options = [
+                        ([None] if n < i else []) + level.sorted_members()
+                        for n, level in enumerate(tower.levels)
+                    ]
+                    count = 0
+                    for picks in itertools.product(*options):
+                        picks = [x for x in picks if x is not None]
+                        assert any(act_hf(x, report.g) != x for x in picks)
+                        count += 1
+                    assert count == report.selections_checked
 
     def test_report_json_shape(self):
         tower = build_tower(2)

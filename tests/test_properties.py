@@ -1,8 +1,9 @@
 """Property tests for the F_p core, the action on HF objects, supports,
 log* and thinness certificates.
 
-Hypothesis draws random objects at p in {2, 3}; the examples are
-derandomized so that every run checks the same cases.
+Hypothesis draws random objects at p in {2, 3} (span densities also at
+p = 5); the examples are derandomized so that every run checks the same
+cases.
 """
 
 import itertools
@@ -23,11 +24,13 @@ from atomlab.atom_action import (
     compose,
     hf_from_json,
     hf_to_json,
+    pointwise_stabilizer,
+    stabilizer_in,
 )
 from atomlab.errors import CertificateError, UsageError
-from atomlab.fp_core import Vector, span_of
-from atomlab.supports import find_small_support, is_support
-from atomlab.thin_ideal import certificate_violations, log_star_p
+from atomlab.fp_core import Vector, project_prefix, span_of
+from atomlab.supports import find_small_support, is_support, reduce_support_step
+from atomlab.thin_ideal import certificate_violations, density_d_k, log_star_p
 from atomlab.verify import iterated_log_star, random_reduction_instance, support_oracle
 
 HORIZON = 3
@@ -154,6 +157,33 @@ def test_reduced_support_is_a_support_by_brute_force(p, horizon, seed):
     result, _ = find_small_support(x, x_orbit, base, supp, horizon, p)
     assert len(result) <= len(base) + 1
     assert support_oracle(tuple(result), x, horizon, p)
+
+
+@PROPERTY
+@given(primes, st.integers(2, 4), st.integers(0, 2**32))
+def test_reduction_witness_is_the_first_stabilizer_element_off_b1_b2(p, horizon, seed):
+    base, supp, x, x_orbit = random_reduction_instance(random.Random(seed), p, horizon)
+    _, _, step = reduce_support_step(x, x_orbit, base, supp, horizon, p)
+    if not step.shortcut:
+        b1, b2 = supp
+        stab_x = stabilizer_in(x, pointwise_stabilizer(base, horizon, p))
+        first = next(
+            g
+            for g in stab_x.elements()
+            if (b1.dot_dense(g.coords), b2.dot_dense(g.coords)) != (0, 0)
+        )
+        assert step.h == first
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_span_density_counts_the_prefixes_of_the_listed_span(p, data):
+    coords = st.dictionaries(st.integers(0, 5), st.integers(0, p - 1))
+    gens = data.draw(st.lists(coords.map(lambda d: Vector.from_dict(p, d)), max_size=4))
+    k = data.draw(st.integers(0, 7))
+    span = span_of(gens, p)
+    listed = {project_prefix(v, k) for v in span.enumerate_elements()}
+    assert density_d_k(span, k) == len(listed)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
