@@ -10,6 +10,14 @@ objects (atoms, finite sets, tuples) leafwise.
 Subgroups of the horizon group are elementary abelian, hence subspaces
 of the coordinate space; they are carried around as ``GroupSubspace``
 so that index computations are rank computations.
+
+An element g moves an object x only through the pairings <w, g> over
+the atom vectors w of x.  So ``orbit`` and ``stabilizer_in`` split the
+acting subgroup K under the linear map g -> (<w, g>)_w, w over a basis
+of the footprint span(atom vectors of x): its kernel fixes x outright,
+and x.g depends only on g's part in a complement C, with dim C at most
+the footprint rank.  They enumerate C alone, and the enumeration cap
+bounds p^dim C, not |K|.
 """
 
 from __future__ import annotations
@@ -429,21 +437,59 @@ def act_hf(x: HFObject, g: GroupElement) -> HFObject:
     return _node(x)._act(g)
 
 
+def _footprint_split(
+    x: HFObject, subgroup: GroupSubspace
+) -> tuple[list[Vector], GroupSubspace]:
+    """Split the subgroup K under phi: k -> (<w, k>)_w, w over the echelon
+    basis of the footprint (the span of x's atom vectors).  Returns a
+    basis of ker phi and a complement C of it in K, dim C = rank phi(K).
+
+    One echelon pass over the rows (phi(k) | k), k over K's basis, with
+    k shifted up past the r pairing coordinates: a row whose pivot is r
+    or more has phi = 0 and carries a kernel vector, and the k-parts of
+    the other rows are independent modulo the kernel.
+    """
+    p, horizon = subgroup.p, subgroup.horizon
+    footprint = span_of((a.w for a in atoms_of(x)), p).basis
+    r = len(footprint)
+    rows = []
+    for k in subgroup.space.basis:
+        coords = GroupElement.from_vector(k, horizon).coords
+        pairings = ((j, w.dot_dense(coords)) for j, w in enumerate(footprint))
+        rows.append(
+            Vector(
+                p,
+                tuple((j, c) for j, c in pairings if c)
+                + tuple((i + r, c) for i, c in k.entries),
+            )
+        )
+    kernel, complement = [], []
+    for row in span_of(rows, p).basis:
+        k = Vector(p, tuple((i - r, c) for i, c in row.entries if i >= r))
+        (kernel if row.lead_index >= r else complement).append(k)
+    return kernel, GroupSubspace(horizon, span_of(complement, p))
+
+
 def orbit(
     x: HFObject, subgroup: GroupSubspace, cap: int = DEFAULT_ENUM_CAP
 ) -> frozenset[HFObject]:
-    """{x.g : g in the subgroup}, by enumerating the subgroup."""
-    return frozenset(act_hf(x, g) for g in subgroup.elements(cap))
+    """{x.g : g in the subgroup}, by enumerating a complement of the
+    footprint kernel (the cap bounds its size, not the subgroup's)."""
+    _, complement = _footprint_split(x, subgroup)
+    return frozenset(act_hf(x, g) for g in complement.elements(cap))
 
 
 def stabilizer_in(
     x: HFObject, subgroup: GroupSubspace, cap: int = DEFAULT_ENUM_CAP
 ) -> GroupSubspace:
-    """{g in subgroup : x.g = x}, returned as a coordinate subspace."""
-    fixers = [g for g in subgroup.elements(cap) if act_hf(x, g) == x]
-    space = span_of((g.as_vector() for g in fixers), subgroup.p)
-    # fixing is preserved under composition, so the fixers must form a subspace
-    if subgroup.p**space.dimension != len(fixers):
+    """{g in subgroup : x.g = x}, returned as a coordinate subspace: the
+    footprint kernel plus the fixers in its complement."""
+    kernel, complement = _footprint_split(x, subgroup)
+    fixers = [g.as_vector() for g in complement.elements(cap) if act_hf(x, g) == x]
+    space = span_of(kernel + fixers, subgroup.p)
+    # fixing is preserved under composition, so the fixers in the
+    # complement must form a subspace of it
+    if subgroup.p ** (space.dimension - len(kernel)) != len(fixers):
         raise InternalConsistencyError(
             "stabilizer is not closed under composition; action is inconsistent"
         )

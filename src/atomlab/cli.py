@@ -313,15 +313,25 @@ def cmd_verify_all(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def positive_int(text: str) -> int:
+    """The type of the size flags (caps, window): an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # Flags shared by several subcommands; each subcommand declares only the
 # ones it reads, besides --json and --output.
 SHARED_FLAGS = {
     "--p": dict(type=int, default=2, help="prime modulus (default 2)"),
     "--horizon": dict(type=int, default=3, help="coordinate cutoff (default 3)"),
     "--cap-enum": dict(
-        type=int, default=DEFAULT_ENUM_CAP, help="enumeration size cap"
+        type=positive_int, default=DEFAULT_ENUM_CAP, help="enumeration size cap"
     ),
-    "--cap-tower": dict(type=int, default=DEFAULT_TOWER_CAP, help="tower height cap"),
+    "--cap-tower": dict(
+        type=positive_int, default=DEFAULT_TOWER_CAP, help="tower height cap"
+    ),
 }
 
 
@@ -444,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="stream JSON file")
     sp.add_argument("--count", type=int, default=3, help="how many indices")
     sp.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW, help="lookahead window"
+        "--window", type=positive_int, default=DEFAULT_WINDOW, help="lookahead window"
     )
 
     sp = command("certify", cmd_certify, "validate a thinness certificate")

@@ -6,9 +6,10 @@ cannot change results), so identical configs give identical reports.
 
 Where an operation has a brute-force counterpart, the suite runs the
 brute force independently of the production route: support checks are
-re-done by enumerating the whole group with raw dot products, log* is
-re-derived by iterating ceiling logs, and span densities are re-counted
-over the listed span.
+re-done by enumerating the whole group with raw dot products, orbits and
+stabilizers by acting with every member of the whole group that lies in
+the subgroup, log* is re-derived by iterating ceiling logs, and span
+densities are re-counted over the listed span.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ class VerifyConfig:
     logstar_max: int = 10**6
 
     def __post_init__(self):
+        if self.trials is not None and self.trials < 1:
+            raise UsageError("trials must be positive")
         if self.logstar_max < 1:
             raise UsageError("logstar_max must be positive")
 
@@ -83,7 +86,7 @@ def _suite_rng(cfg: VerifyConfig, name: str) -> random.Random:
 def _n(cfg: VerifyConfig, default: int) -> int:
     if cfg.trials is None:
         return default
-    return max(1, min(default, cfg.trials))
+    return min(default, cfg.trials)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +152,23 @@ def iterated_log_star(n: int, p: int) -> int:
         n = e
         k += 1
     return k
+
+
+def group_oracle(
+    x: HFObject, space: Subspace, horizon: int, p: int
+) -> tuple[set[HFObject], set[tuple[int, ...]]]:
+    """The orbit of x and the coordinates of its fixers over a subgroup, by
+    listing every coordinate tuple below the horizon and keeping those in
+    the subspace.  No subgroup enumeration and no footprint split."""
+    images, fixers = set(), set()
+    for coords in itertools.product(range(p), repeat=horizon):
+        g = GroupElement(p, coords)
+        if space.contains(g.as_vector()):
+            y = act_hf(x, g)
+            images.add(y)
+            if y == x:
+                fixers.add(coords)
+    return images, fixers
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +358,24 @@ def suite_support_basics(cfg: VerifyConfig) -> list[Check]:
             if is_support(vs, x, horizon, p) and not is_support(more, x, horizon, p):
                 ok = False
         checks.append(Check(f"support-monotone-p{p}", ok))
+
+    for p in (2, 3):
+        ok = True
+        cases = 0
+        for h in range(1, 5):
+            for _ in range(_n(cfg, 20)):
+                if rng.random() < 0.5:
+                    sub = GroupSubspace.full(p, h)
+                else:
+                    gens = [random_vector(rng, p, h) for _ in range(rng.randint(0, h))]
+                    sub = GroupSubspace(h, span_of(gens, p))
+                x = random_hf(rng, p, h, 3)
+                want_orbit, want_fixers = group_oracle(x, sub.space, h, p)
+                fixers = {g.coords for g in stabilizer_in(x, sub).elements()}
+                if orbit(x, sub) != want_orbit or fixers != want_fixers:
+                    ok = False
+                cases += 1
+        checks.append(Check(f"footprint-quotient-p{p}", ok, f"{cases} cases"))
     return checks
 
 

@@ -189,14 +189,29 @@ class TestOrbitStabilizer:
         assert full.index_over(stab) == 2
 
     def test_orbit_cap(self):
-        x = AtomLeaf(atom(0, e(0)))
-        with pytest.raises(ResourceError):
-            orbit(x, GroupSubspace.full(2, 2), cap=3)
+        # the cap bounds the complement of the footprint kernel: rank 2 here
+        x = pair(leaf(0, e(0)), leaf(0, e(1)))
+        with pytest.raises(ResourceError, match="enumeration of 4 elements exceeds cap 3"):
+            orbit(x, GroupSubspace.full(2, 3), cap=3)
 
     def test_stabilizer_cap_names_size_and_cap(self):
-        x = AtomLeaf(atom(0, e(0)))
+        x = pair(leaf(0, e(0)), leaf(0, e(1)))
         with pytest.raises(ResourceError, match="enumeration of 4 elements exceeds cap 3"):
-            stabilizer_in(x, GroupSubspace.full(2, 2), cap=3)
+            stabilizer_in(x, GroupSubspace.full(2, 3), cap=3)
+
+    def test_footprint_kernel_is_not_enumerated(self):
+        # 2^30 group elements, but x moves only through coordinate 0
+        x = AtomLeaf(atom(0, e(0)))
+        full = GroupSubspace.full(2, 30)
+        assert orbit(x, full, cap=2) == {x, AtomLeaf(atom(1, e(0)))}
+        assert stabilizer_in(x, full, cap=2) == pointwise_stabilizer([e(0)], 30)
+
+    def test_atom_beyond_horizon_is_an_error(self):
+        x = pair(leaf(0, e(0)), leaf(0, e(5)))
+        for sub in (GroupSubspace.full(2, 3), GroupSubspace.trivial(2, 3)):
+            for query in (orbit, stabilizer_in):
+                with pytest.raises(UsageError, match="exceeds horizon 3"):
+                    query(x, sub)
 
 
 class TestActionLaws:

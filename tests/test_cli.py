@@ -209,12 +209,21 @@ def test_verify_all_scaled_deterministic(tmp_path, capsys):
 
 
 def test_cap_and_window_exhaustion_exit_three(capsys):
-    code, _, err = run(capsys, "orbit", "--x", '{"atom":"(0|0:1)"}', "--horizon", "30")
+    # footprint rank 21 at horizon 30: 2^21 elements to list, over the cap
+    wide = json.dumps({"tuple": [{"atom": f"(0|{i}:1)"} for i in range(21)]})
+    code, _, err = run(capsys, "orbit", "--x", wide, "--horizon", "30")
     assert code == 3
-    assert "ResourceError" in err
+    assert "enumeration of 2097152 elements exceeds cap 1000000" in err
     code, _, err = run(capsys, "extract-thin", "--count", "5", "--window", "64")
     assert code == 3
     assert "WindowExhaustedError" in err
+
+
+def test_orbit_at_horizon_thirty(capsys):
+    # 2^30 group elements, of which only the pairing with 0:1 matters
+    code, out, _ = run(capsys, "orbit", "--x", '{"atom":"(0|0:1)"}', "--horizon", "30")
+    assert code == 0
+    assert out.splitlines()[0] == "orbit size 2"
 
 
 def test_unread_flags_rejected(capsys):
@@ -285,10 +294,12 @@ def test_logstar_past_a_huge_tower(capsys):
          "KeyError: 'vectors'"),
         (["logstar", "--n", "16", "--output", "no_such_dir/out.json"],
          "cannot write"),
+        (["verify-all", "--trials", "0"], "trials must be positive"),
+        (["verify-all", "--trials", "-3"], "trials must be positive"),
     ],
     ids=["missing-file", "truncated-json", "atom-not-text", "set-not-list",
          "reduce-support-missing-keys", "extract-thin-missing-keys",
-         "output-unwritable"],
+         "output-unwritable", "trials-zero", "trials-negative"],
 )  # fmt: skip
 def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
     (tmp_path / "truncated.json").write_text('{"kind": "finite-set", "p": 2, "elem')
@@ -307,9 +318,15 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
         ["extract-thin", "--input", "stream.json"],
         ["extract-thin", "--stream", "canonical", "--fixture", "stream-canonical-p2"],
         ["extract-thin", "--stream", "fixture", "--input", "stream.json"],
+        ["orbit", "--x", '{"atom":"(0|0:1)"}', "--cap-enum", "-5"],
+        ["stabilizer", "--x", '{"atom":"(0|0:1)"}', "--cap-enum", "0"],
+        ["tower", "--levels", "3", "--cap-tower", "-1"],
+        ["extract-thin", "--count", "2", "--window", "-3"],
     ],
     ids=["refute-fixture-levels", "refute-fixture-s", "extract-input-no-file",
-         "extract-canonical-fixture", "extract-fixture-input"],
+         "extract-canonical-fixture", "extract-fixture-input",
+         "orbit-cap-negative", "stabilizer-cap-zero", "tower-cap-negative",
+         "extract-window-negative"],
 )  # fmt: skip
 def test_flags_the_route_ignores_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
