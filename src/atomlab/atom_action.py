@@ -7,17 +7,18 @@ vector component never moves and the cells U_w = {(a, w) : a} are
 permuted within themselves.  The action extends to hereditarily finite
 objects (atoms, finite sets, tuples) leafwise.
 
-Subgroups of the horizon group are elementary abelian, hence subspaces
-of the coordinate space; they are carried around as ``GroupSubspace``
-so that index computations are rank computations.
+Every subgroup is a pointwise stabilizer Ann(S) = {g : <s, g> = 0 for
+every s in S}, and a ``GroupSubspace`` stores only the echelon span of
+S: sizes and indices are rank arithmetic, and the subgroup's own basis
+is built (by ``fp_core.annihilator``) only where it is listed.
 
 An element g moves an object x only through the pairings <w, g> over
-the atom vectors w of x.  So ``orbit`` and ``stabilizer_in`` split the
-acting subgroup K under the linear map g -> (<w, g>)_w, w over a basis
-of the footprint span(atom vectors of x): its kernel fixes x outright,
-and x.g depends only on g's part in a complement C, with dim C at most
-the footprint rank.  They enumerate C alone, and the enumeration cap
-bounds p^dim C, not |K|.
+the atom vectors w of x.  So ``orbit`` and ``stabilizer_in`` split
+K = Ann(S) under g -> (<w, g>)_w, w over a basis of the footprint
+span(atom vectors of x): the kernel fixes x, and x.g depends only on
+g's part in a complement C, dim C at most the footprint rank.  C is
+built from S and the footprint alone and is all that is enumerated, so
+the cap bounds p^dim C, not |K|, and no basis of K is formed.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .fp_core import (
     DEFAULT_ENUM_CAP,
     Subspace,
     Vector,
+    annihilator,
     check_prime,
     span_of,
-    unit,
 )
 
 
@@ -75,6 +76,12 @@ class Atom:
 atom = Atom  # lower-case shorthand
 
 
+def _check_horizon(vectors: Iterable[Vector], horizon: int) -> None:
+    top = max((w.max_index for w in vectors), default=-1)
+    if top >= horizon:
+        raise UsageError(f"vector supported at {top} exceeds horizon {horizon}")
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """A residue assignment to every coordinate below the horizon (dense)."""
@@ -108,15 +115,9 @@ class GroupElement:
         coords[i] = value % p
         return cls(p, tuple(coords))
 
-    def as_vector(self) -> Vector:
-        return Vector(self.p, tuple((i, c) for i, c in enumerate(self.coords) if c))
-
     @classmethod
     def from_vector(cls, v: Vector, horizon: int) -> "GroupElement":
-        if v.max_index >= horizon:
-            raise UsageError(
-                f"vector supported at {v.max_index} exceeds horizon {horizon}"
-            )
+        _check_horizon((v,), horizon)
         coords = [0] * horizon
         for i, c in v.entries:
             coords[i] = c
@@ -159,44 +160,37 @@ def act_atom(x: Atom, g: GroupElement) -> Atom:
     return Atom(x.a + s, x.w)
 
 
-def fixes_at(g: GroupElement, vectors: Iterable[Vector]) -> bool:
-    """True iff g fixes every atom of every cell U_w, w in the given set."""
-    return all(w.dot_dense(g.coords) == 0 for w in vectors)
-
-
 @dataclass(frozen=True)
 class GroupSubspace:
-    """A subgroup of the horizon group, stored as a coordinate subspace."""
+    """The subgroup Ann(fixed) of the horizon group: the elements g with
+    <s, g> = 0 for every s in ``fixed``."""
 
     horizon: int
-    space: Subspace
+    fixed: Subspace
 
     def __post_init__(self):
-        if self.space.max_index() >= self.horizon:
-            raise UsageError("subgroup basis exceeds its own horizon")
+        _check_horizon(self.fixed.basis, self.horizon)
 
     @property
     def p(self) -> int:
-        return self.space.p
+        return self.fixed.p
 
     @property
     def dimension(self) -> int:
-        return self.space.dimension
+        return self.horizon - self.fixed.dimension
 
     @property
     def size(self) -> int:
-        return self.space.size
+        return self.p**self.dimension
+
+    @property
+    def space(self) -> Subspace:
+        """The subgroup as a coordinate subspace; built on each call."""
+        return annihilator(self.fixed, self.horizon)
 
     @classmethod
     def full(cls, p: int, horizon: int) -> "GroupSubspace":
-        return cls(horizon, span_of((unit(p, i) for i in range(horizon)), p))
-
-    @classmethod
-    def trivial(cls, p: int, horizon: int) -> "GroupSubspace":
         return cls(horizon, Subspace(p))
-
-    def contains(self, g: GroupElement) -> bool:
-        return self.space.contains(g.as_vector())
 
     def basis_elements(self) -> tuple[GroupElement, ...]:
         return tuple(
@@ -212,41 +206,19 @@ class GroupSubspace:
         """[self : sub]; requires sub to actually be contained in self."""
         if sub.horizon != self.horizon or sub.p != self.p:
             raise UsageError("subgroup index across different groups")
-        if not self.space.contains_subspace(sub.space):
+        # Ann(S') lies in Ann(S) exactly when S lies in S'
+        if not sub.fixed.contains_subspace(self.fixed):
             raise UsageError("index requested over a non-subgroup")
         return self.p ** (self.dimension - sub.dimension)
 
 
 def pointwise_stabilizer(
-    vectors: Iterable[Vector], horizon: int, p: int | None = None
+    vectors: Iterable[Vector], horizon: int, p: int
 ) -> GroupSubspace:
-    """The subgroup fixing every atom over every given vector.
-
-    Fixing at w is the linear condition sum_i w_i g_i = 0, so this is the
-    annihilator of the span of the vectors inside the horizon group.
+    """The subgroup fixing every atom over every given vector: fixing at w
+    is the linear condition <w, g> = 0, so this is Ann(span of the vectors).
     """
-    vectors = tuple(vectors)
-    for w in vectors:
-        if p is None:
-            p = w.p
-        if w.max_index >= horizon:
-            raise UsageError(
-                f"vector supported at {w.max_index} exceeds horizon {horizon}"
-            )
-    if p is None:
-        raise UsageError("pointwise stabilizer of an empty set needs an explicit p")
-    rows = span_of(vectors, p)
-    pivots = rows.pivots
-    free = [i for i in range(horizon) if i not in pivots]
-    kernel = []
-    for f in free:
-        entries = {f: 1}
-        for b in rows.basis:
-            c = b.coeff(f)
-            if c:
-                entries[b.lead_index] = -c % p
-        kernel.append(Vector.from_dict(p, entries))
-    return GroupSubspace(horizon, span_of(kernel, p))
+    return GroupSubspace(horizon, span_of(vectors, p))
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +397,6 @@ def hf_max_index(x: HFObject) -> int:
     return max((a.w.max_index for a in atoms_of(x)), default=-1)
 
 
-def hf_prime(x: HFObject) -> int | None:
-    for a in atoms_of(x):
-        return a.p
-    return None
-
-
 def act_hf(x: HFObject, g: GroupElement) -> HFObject:
     """Apply the action to every atom leaf, re-canonicalizing sets.  A node
     none of whose atoms moves comes back as the same object."""
@@ -438,36 +404,41 @@ def act_hf(x: HFObject, g: GroupElement) -> HFObject:
 
 
 def _footprint_split(
-    x: HFObject, subgroup: GroupSubspace
-) -> tuple[list[Vector], GroupSubspace]:
-    """Split the subgroup K under phi: k -> (<w, k>)_w, w over the echelon
-    basis of the footprint (the span of x's atom vectors).  Returns a
-    basis of ker phi and a complement C of it in K, dim C = rank phi(K).
+    x: HFObject, subgroup: GroupSubspace, cap: int
+) -> tuple[tuple[Vector, ...], Iterator[tuple[Vector, GroupElement]]]:
+    """Split K = Ann(S) under phi: k -> (<w_j, k>)_j, w_1..w_r the echelon
+    basis of x's footprint.  Returns that basis and the pairs (f, g_f), f
+    over phi(K), listed under the cap; the g_f span a complement of ker phi.
 
-    One echelon pass over the rows (phi(k) | k), k over K's basis, with
-    k shifted up past the r pairing coordinates: a row whose pivot is r
-    or more has phi = 0 and carries a kernel vector, and the k-parts of
-    the other rows are independent modulo the kernel.
-    """
+    One echelon pass over the rows (s | 0), s in S, and (w_j | e_j), the
+    tag e_j placed past the horizon.  Rows (0 | t) give the relations R,
+    sum_j t_j w_j in S, and phi(K) is the orthogonal complement of R.
+    Every other row (v | tau) has its pivot below the horizon, and
+    g_f = sum (tau . f) e_pivot pairs to tau . f with each row: it lies
+    in K and realizes f."""
     p, horizon = subgroup.p, subgroup.horizon
     footprint = span_of((a.w for a in atoms_of(x)), p).basis
-    r = len(footprint)
-    rows = []
-    for k in subgroup.space.basis:
-        coords = GroupElement.from_vector(k, horizon).coords
-        pairings = ((j, w.dot_dense(coords)) for j, w in enumerate(footprint))
-        rows.append(
-            Vector(
-                p,
-                tuple((j, c) for j, c in pairings if c)
-                + tuple((i + r, c) for i, c in k.entries),
-            )
-        )
-    kernel, complement = [], []
-    for row in span_of(rows, p).basis:
-        k = Vector(p, tuple((i - r, c) for i, c in row.entries if i >= r))
-        (kernel if row.lead_index >= r else complement).append(k)
-    return kernel, GroupSubspace(horizon, span_of(complement, p))
+    _check_horizon(footprint, horizon)
+    tagged = (
+        Vector(p, w.entries + ((horizon + j, 1),)) for j, w in enumerate(footprint)
+    )
+    relations, lifts = [], []
+    for row in span_of((*subgroup.fixed.basis, *tagged), p).basis:
+        tag = dict((i - horizon, c) for i, c in row.entries if i >= horizon)
+        if row.lead_index >= horizon:
+            relations.append(Vector(p, tuple(tag.items())))
+        else:
+            lifts.append((row.lead_index, tag))
+    image = annihilator(Subspace(p, tuple(relations)), len(footprint))
+
+    def pairs():
+        for f in image.enumerate_elements(cap):
+            coords = [0] * horizon
+            for pivot, tag in lifts:
+                coords[pivot] = sum(c * tag.get(j, 0) for j, c in f.entries) % p
+            yield f, GroupElement(p, tuple(coords))
+
+    return footprint, pairs()
 
 
 def orbit(
@@ -475,25 +446,33 @@ def orbit(
 ) -> frozenset[HFObject]:
     """{x.g : g in the subgroup}, by enumerating a complement of the
     footprint kernel (the cap bounds its size, not the subgroup's)."""
-    _, complement = _footprint_split(x, subgroup)
-    return frozenset(act_hf(x, g) for g in complement.elements(cap))
+    _, pairs = _footprint_split(x, subgroup, cap)
+    return frozenset(act_hf(x, g) for _, g in pairs)
 
 
 def stabilizer_in(
     x: HFObject, subgroup: GroupSubspace, cap: int = DEFAULT_ENUM_CAP
 ) -> GroupSubspace:
-    """{g in subgroup : x.g = x}, returned as a coordinate subspace: the
-    footprint kernel plus the fixers in its complement."""
-    kernel, complement = _footprint_split(x, subgroup)
-    fixers = [g.as_vector() for g in complement.elements(cap) if act_hf(x, g) == x]
-    space = span_of(kernel + fixers, subgroup.p)
+    """{g in Ann(S) : x.g = x} = Ann(S + T).  x.g depends only on the
+    pairings f = phi(g), so the stabilizer is phi^-1(F), F the pairings of
+    the fixers in the complement, and T = {sum_j t_j w_j : t orthogonal
+    to F}."""
+    p = subgroup.p
+    footprint, pairs = _footprint_split(x, subgroup, cap)
+    fixing = [f for f, g in pairs if act_hf(x, g) == x]
+    kept = span_of(fixing, p)
     # fixing is preserved under composition, so the fixers in the
     # complement must form a subspace of it
-    if subgroup.p ** (space.dimension - len(kernel)) != len(fixers):
+    if p**kept.dimension != len(fixing):
         raise InternalConsistencyError(
             "stabilizer is not closed under composition; action is inconsistent"
         )
-    return GroupSubspace(subgroup.horizon, space)
+    also_fixed = (
+        sum((footprint[j].scale(c) for j, c in t.entries), Vector(p))
+        for t in annihilator(kept, len(footprint)).basis
+    )
+    fixed = span_of((*subgroup.fixed.basis, *also_fixed), p)
+    return GroupSubspace(subgroup.horizon, fixed)
 
 
 # ---------------------------------------------------------------------------

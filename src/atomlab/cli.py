@@ -42,7 +42,7 @@ from .errors import (
     ResourceError,
     UsageError,
 )
-from .fp_core import DEFAULT_ENUM_CAP, Vector, span_of
+from .fp_core import DEFAULT_ENUM_CAP, Vector, json_int, span_of
 from .supports import find_small_support, is_support
 from .thin_ideal import (
     DEFAULT_WINDOW,
@@ -173,10 +173,10 @@ def cmd_support_check(args) -> int:
 
 
 def _reduction_instance(data) -> tuple:
-    p = int(data["p"])
+    p = json_int(data["p"])
     return (
         p,
-        int(data["horizon"]),
+        json_int(data["horizon"]),
         [Vector.from_text(t, p) for t in data["A"]],
         [Vector.from_text(t, p) for t in data["B"]],
         hf_from_json(data["x"], p),
@@ -232,7 +232,7 @@ def cmd_logstar(args) -> int:
 
 
 def _stream_terms(data) -> tuple[int, list[Vector]]:
-    p = int(data["p"])
+    p = json_int(data["p"])
     return p, [Vector.from_text(t, p) for t in data["vectors"]]
 
 
@@ -279,7 +279,7 @@ def cmd_tower(args) -> int:
 def cmd_refute_pcf(args) -> int:
     if args.fixture:
         data = load_fixture(args.fixture)
-        levels, s = int(data["levels"]), [int(i) for i in data["s"]]
+        levels, s = json_int(data["levels"]), [json_int(i) for i in data["s"]]
     else:
         levels, s = args.levels, args.s or []
     tower = build_tower(levels, cap=args.cap_tower)
@@ -313,19 +313,29 @@ def cmd_verify_all(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def positive_int(text: str) -> int:
-    """The type of the size flags (caps, window): an int of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(least: int):
+    """The parser type of an int flag with a least value."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+positive_int = int_at_least(1)  # the size flags: caps and the window
 
 
 # Flags shared by several subcommands; each subcommand declares only the
 # ones it reads, besides --json and --output.
 SHARED_FLAGS = {
     "--p": dict(type=int, default=2, help="prime modulus (default 2)"),
-    "--horizon": dict(type=int, default=3, help="coordinate cutoff (default 3)"),
+    "--horizon": dict(
+        type=int_at_least(0), default=3, help="coordinate cutoff (default 3)"
+    ),
     "--cap-enum": dict(
         type=positive_int, default=DEFAULT_ENUM_CAP, help="enumeration size cap"
     ),

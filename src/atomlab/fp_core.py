@@ -42,6 +42,13 @@ def check_prime(p) -> int:
     return p
 
 
+def json_int(value) -> int:
+    """An integer read from JSON; a float, a string or a bool is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Vector:
     """Finitely supported coordinate sequence over F_p.
@@ -216,10 +223,6 @@ class Subspace:
     def size(self) -> int:
         return self.p**self.dimension
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(b.lead_index for b in self.basis)
-
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after eliminating against the basis."""
         if v.p != self.p:
@@ -291,6 +294,26 @@ def span_of(gens: Iterable[Vector], p: int | None = None) -> Subspace:
     return Subspace(p, tuple(rows))
 
 
+def annihilator(s: Subspace, n: int) -> Subspace:
+    """Ann(s) = {v in F_p^n : sum_i v_i t_i = 0 for every t in s}, as its
+    reduced echelon basis.  An echelon pass on the reversed coordinates
+    gives s rows t whose pivot is their greatest coordinate; then for each
+    other coordinate f, e_f - sum_t t_f e_pivot(t) has least coordinate f,
+    so these n - dim s vectors are already reduced echelon."""
+    p = s.p
+
+    def flip(t: Vector) -> Vector:  # coordinate i moved to n - 1 - i
+        return Vector(p, tuple((n - 1 - i, c) for i, c in reversed(t.entries)))
+
+    rows = [flip(t) for t in span_of(map(flip, s.basis), p).basis]
+    tails: dict[int, list] = {f: [] for f in range(n)}
+    for t in reversed(rows):  # ascending pivots: each tail comes out sorted
+        del tails[t.max_index]
+        for f, c in t.entries[:-1]:
+            tails[f].append((t.max_index, -c % p))
+    return Subspace(p, tuple(Vector(p, ((f, 1), *tail)) for f, tail in tails.items()))
+
+
 def complement_within(s: Subspace, horizon: int) -> Subspace:
     """Deterministic complement inside the full horizon-dimensional space:
     standard vectors at the non-pivot coordinates, ascending."""
@@ -298,6 +321,6 @@ def complement_within(s: Subspace, horizon: int) -> Subspace:
         raise UsageError(
             f"subspace supported at {s.max_index()} exceeds horizon {horizon}"
         )
-    pivots = set(s.pivots)
+    pivots = {b.lead_index for b in s.basis}
     basis = tuple(unit(s.p, i) for i in range(horizon) if i not in pivots)
     return Subspace(s.p, basis)

@@ -23,7 +23,6 @@ from .atom_action import (
     HFObject,
     act_hf,
     hf_max_index,
-    hf_prime,
     pointwise_stabilizer,
     stabilizer_in,
 )
@@ -31,23 +30,11 @@ from .errors import InternalConsistencyError, UsageError
 from .fp_core import DEFAULT_ENUM_CAP, Vector, _insert_echelon, span_of
 
 
-def _infer_p(vectors: Iterable[Vector], x: HFObject | None, p: int | None) -> int:
-    if p is not None:
-        return p
-    for v in vectors:
-        return v.p
-    if x is not None:
-        q = hf_prime(x)
-        if q is not None:
-            return q
-    raise UsageError("cannot infer p; pass it explicitly")
-
-
 def is_support(
     vectors: Iterable[Vector],
     x: HFObject,
     horizon: int,
-    p: int | None = None,
+    p: int,
     exhaustive: bool = False,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> bool:
@@ -56,8 +43,6 @@ def is_support(
     Checks a basis of the pointwise stabilizer; ``exhaustive=True``
     enumerates the whole stabilizer instead (debug cross-check).
     """
-    vectors = tuple(vectors)
-    p = _infer_p(vectors, x, p)
     if hf_max_index(x) >= horizon:
         raise UsageError(
             f"object supported at {hf_max_index(x)} exceeds horizon {horizon}"
@@ -141,7 +126,7 @@ def reduce_support_step(
     base: Iterable[Vector],
     supplement: Sequence[Vector],
     horizon: int,
-    p: int | None = None,
+    p: int,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[Vector | None, list[Vector], ReductionStep]:
     """Shrink the supplementary support B by exactly one element.
@@ -152,7 +137,6 @@ def reduce_support_step(
     """
     base = tuple(base)
     supplement = list(supplement)
-    p = _infer_p(list(base) + supplement, x, p)
     if len(supplement) < 2:
         raise UsageError("reduction step needs |B| >= 2")
     _validate_instance(x, orbit_set, base, supplement, horizon, p, cap)
@@ -213,7 +197,7 @@ def find_small_support(
     base: Iterable[Vector],
     supplement: Iterable[Vector],
     horizon: int,
-    p: int | None = None,
+    p: int,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[frozenset[Vector], ReductionTrace]:
     """Iterate the reduction until at most one supplementary vector remains.
@@ -222,7 +206,6 @@ def find_small_support(
     """
     base = tuple(base)
     supplement = list(supplement)
-    p = _infer_p(list(base) + supplement, x, p)
     current = normalize_supplement(base, supplement, p)
     _validate_instance(x, orbit_set, base, current, horizon, p, cap)
     steps = []

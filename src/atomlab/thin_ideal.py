@@ -23,6 +23,7 @@ from .fp_core import (
     Subspace,
     Vector,
     check_prime,
+    json_int,
     project_prefix,
     span_of,
     unit,
@@ -63,14 +64,10 @@ def density_d_k(vectors: Union[Iterable[Vector], Subspace], k: int) -> int:
 
 
 def check_span_density_bound(
-    vectors: Iterable[Vector], k: int, p: int | None = None
+    vectors: Iterable[Vector], k: int, p: int
 ) -> tuple[int, int, bool]:
     """Returns (d_k of the span, p ** d_k of the generators, lhs <= rhs)."""
     vectors = tuple(vectors)
-    if p is None:
-        if not vectors:
-            raise UsageError("empty generating set needs an explicit p")
-        p = vectors[0].p
     lhs = density_d_k(span_of(vectors, p), k)
     rhs = p ** density_d_k(vectors, k)
     return lhs, rhs, lhs <= rhs
@@ -292,13 +289,13 @@ def certificate_violations(cert, path: str = "") -> list[str]:
                 for idx, child in enumerate(cert["children"])
                 for problem in certificate_violations(child, f"{where}.children[{idx}]")
             ]
-        p = check_prime(int(cert["p"]))
+        p = check_prime(json_int(cert["p"]))
         if kind != "extracted-stream":
             for text in cert["elements" if kind == "finite-set" else "generators"]:
                 Vector.from_text(text, p)
             return []
-        checkpoints = [(int(n), int(b)) for n, b in cert["checkpoints"]]
-        window = int(cert["window"])
+        window = json_int(cert["window"])
+        checkpoints = [(json_int(n), json_int(b)) for n, b in cert["checkpoints"]]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CertificateError(f"malformed {kind} certificate: {exc}") from None
     if not checkpoints:

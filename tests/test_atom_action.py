@@ -14,7 +14,6 @@ from atomlab.atom_action import (
     act_hf,
     atom,
     compose,
-    fixes_at,
     from_kuratowski,
     hf_from_json,
     hf_to_json,
@@ -88,14 +87,6 @@ class TestCompose:
             compose(GroupElement(2, (1,)), GroupElement(3, (1,)))
 
 
-class TestFixesAt:
-    def test_examples(self):
-        g = GroupElement(2, (1, 0))
-        assert fixes_at(g, [e(1)])
-        assert not fixes_at(g, [e(0)])
-        assert fixes_at(GroupElement(2, (1, 1)), [e(0) + e(1)])
-
-
 class TestPointwiseStabilizer:
     def test_single_condition(self):
         stab = pointwise_stabilizer([e(0)], 2, 2)
@@ -114,9 +105,10 @@ class TestPointwiseStabilizer:
     def test_annihilator_characterization(self):
         for p in (2, 3):
             vs = [e(0, p) + e(1, p).scale(p - 1), e(2, p)]
-            stab = pointwise_stabilizer(vs, 3, p)
+            members = set(pointwise_stabilizer(vs, 3, p).elements())
             for g in full_group(p, 3):
-                assert stab.contains(g) == fixes_at(g, vs)
+                fixes = all(w.dot_dense(g.coords) == 0 for w in vs)
+                assert (g in members) == fixes
 
 
 class TestActHF:
@@ -152,7 +144,7 @@ class TestOrbitStabilizer:
 
     def test_trivial_subgroup_orbit(self):
         x = pair(leaf(0, e(0)), leaf(1, e(1)))
-        assert orbit(x, GroupSubspace.trivial(2, 2)) == {x}
+        assert orbit(x, pointwise_stabilizer([e(0), e(1)], 2, 2)) == {x}
 
     def test_pair_orbit_all_four(self):
         # oracle: apply the displayed formula for each of the 4 group elements
@@ -204,11 +196,20 @@ class TestOrbitStabilizer:
         x = AtomLeaf(atom(0, e(0)))
         full = GroupSubspace.full(2, 30)
         assert orbit(x, full, cap=2) == {x, AtomLeaf(atom(1, e(0)))}
-        assert stabilizer_in(x, full, cap=2) == pointwise_stabilizer([e(0)], 30)
+        assert stabilizer_in(x, full, cap=2) == pointwise_stabilizer([e(0)], 30, 2)
+
+    def test_rank_two_object_at_horizon_one_hundred_thousand(self):
+        # neither query lists or builds a basis of the 10^5-dimensional group
+        horizon = 100_000
+        x = pair(leaf(0, e(0)), leaf(0, e(horizon - 1)))
+        full = GroupSubspace.full(2, horizon)
+        assert len(orbit(x, full)) == 4
+        assert stabilizer_in(x, full).dimension == horizon - 2
 
     def test_atom_beyond_horizon_is_an_error(self):
         x = pair(leaf(0, e(0)), leaf(0, e(5)))
-        for sub in (GroupSubspace.full(2, 3), GroupSubspace.trivial(2, 3)):
+        trivial = pointwise_stabilizer([e(0), e(1), e(2)], 3, 2)
+        for sub in (GroupSubspace.full(2, 3), trivial):
             for query in (orbit, stabilizer_in):
                 with pytest.raises(UsageError, match="exceeds horizon 3"):
                     query(x, sub)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from atomlab.cli import main
+from atomlab.cli import load_fixture, main
 
 MATCHING = (
     '{"set":[{"tuple":[{"atom":"(0|0:1)"},{"atom":"(0|1:1)"}]},'
@@ -296,14 +296,39 @@ def test_logstar_past_a_huge_tower(capsys):
          "cannot write"),
         (["verify-all", "--trials", "0"], "trials must be positive"),
         (["verify-all", "--trials", "-3"], "trials must be positive"),
+        (["certify", "--input", "p_float.json"], "expected an integer, got 2.5"),
+        (["certify", "--input", "window_float.json"], "expected an integer, got 10.9"),
+        (["certify", "--input", "bound_text.json"], "expected an integer, got '3'"),
+        (["certify", "--input", "window_bool.json"], "expected an integer, got True"),
+        (["reduce-support", "--input", "instance_float.json"],
+         "TypeError: expected an integer, got 2.9"),
     ],
     ids=["missing-file", "truncated-json", "atom-not-text", "set-not-list",
          "reduce-support-missing-keys", "extract-thin-missing-keys",
-         "output-unwritable", "trials-zero", "trials-negative"],
+         "output-unwritable", "trials-zero", "trials-negative",
+         "certify-p-float", "certify-window-and-index-float", "certify-bound-text",
+         "certify-window-and-bound-bool", "reduce-support-p-and-horizon-float"],
 )  # fmt: skip
 def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
-    (tmp_path / "truncated.json").write_text('{"kind": "finite-set", "p": 2, "elem')
-    (tmp_path / "p_only.json").write_text('{"p": 2}')
+    stream = {"kind": "extracted-stream", "p": 2, "window": 64,
+              "checkpoints": [[0, 1], [3, 2], [5, 3]]}  # fmt: skip
+    inputs = {
+        "truncated.json": '{"kind": "finite-set", "p": 2, "elem',
+        "p_only.json": '{"p": 2}',
+        # each of these was once read through int() and accepted
+        "p_float.json": {**stream, "p": 2.5},
+        "window_float.json": {
+            **stream, "window": 10.9, "checkpoints": [[0, 1], [3.7, 2]]
+        },
+        "bound_text.json": {**stream, "checkpoints": [[0, 1], [3, 2], [5, "3"]]},
+        "window_bool.json": {**stream, "window": True, "checkpoints": [[0, True]]},
+        "instance_float.json": {
+            **load_fixture("matching-p2"), "p": 2.9, "horizon": 3.5
+        },
+    }
+    for name, content in inputs.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
     argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -322,11 +347,12 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
         ["stabilizer", "--x", '{"atom":"(0|0:1)"}', "--cap-enum", "0"],
         ["tower", "--levels", "3", "--cap-tower", "-1"],
         ["extract-thin", "--count", "2", "--window", "-3"],
+        ["orbit", "--x", '{"atom":"(0|0:1)"}', "--horizon", "-2"],
     ],
     ids=["refute-fixture-levels", "refute-fixture-s", "extract-input-no-file",
          "extract-canonical-fixture", "extract-fixture-input",
          "orbit-cap-negative", "stabilizer-cap-zero", "tower-cap-negative",
-         "extract-window-negative"],
+         "extract-window-negative", "orbit-horizon-negative"],
 )  # fmt: skip
 def test_flags_the_route_ignores_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -24,14 +24,22 @@ from atomlab.atom_action import (
     compose,
     hf_from_json,
     hf_to_json,
+    orbit,
     pointwise_stabilizer,
     stabilizer_in,
 )
 from atomlab.errors import CertificateError, UsageError
-from atomlab.fp_core import Vector, project_prefix, span_of
+from atomlab.fp_core import Vector, annihilator, project_prefix, span_of
 from atomlab.supports import find_small_support, is_support, reduce_support_step
 from atomlab.thin_ideal import certificate_violations, density_d_k, log_star_p
-from atomlab.verify import iterated_log_star, random_reduction_instance, support_oracle
+from atomlab.verify import (
+    group_oracle,
+    iterated_log_star,
+    random_hf,
+    random_reduction_instance,
+    random_vector,
+    support_oracle,
+)
 
 HORIZON = 3
 PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -173,6 +181,34 @@ def test_reduction_witness_is_the_first_stabilizer_element_off_b1_b2(p, horizon,
             if (b1.dot_dense(g.coords), b2.dot_dense(g.coords)) != (0, 0)
         )
         assert step.h == first
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 2**32))
+def test_orbit_and_stabilizer_over_ann_s_match_the_listed_group(p, horizon, seed):
+    rng = random.Random(seed)
+    s = [random_vector(rng, p, horizon) for _ in range(rng.randint(0, horizon))]
+    x = random_hf(rng, p, horizon, 3)
+    sub = pointwise_stabilizer(s, horizon, p)
+    want_orbit, want_fixers = group_oracle(x, span_of(s, p), horizon, p)
+    assert orbit(x, sub) == want_orbit
+    assert {g.coords for g in stabilizer_in(x, sub).elements()} == want_fixers
+
+
+def pairing(u, v):
+    return sum(c * v.coeff(i) for i, c in u.entries) % u.p
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 6), st.data())
+def test_annihilator_laws(p, n, data):
+    dense = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    gens = data.draw(st.lists(dense, max_size=4))
+    s = span_of((Vector.from_dict(p, dict(enumerate(g))) for g in gens), p)
+    ann = annihilator(s, n)
+    assert s.dimension + ann.dimension == n
+    assert all(pairing(a, t) == 0 for a in ann.basis for t in s.basis)
+    assert annihilator(ann, n) == s
 
 
 @PROPERTY

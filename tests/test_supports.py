@@ -62,7 +62,7 @@ class TestIsSupport:
         assert is_support(frozenset([e(0)]), leaf(0, e(0)), 2, 2)
         assert is_support(frozenset([e(0)]), leaf(0, e(0)), 2, 2, exhaustive=True)
         with pytest.raises(UsageError):  # a vector beyond the horizon
-            is_support(frozenset([e(5)]), leaf(0, e(0)), 2)
+            is_support(frozenset([e(5)]), leaf(0, e(0)), 2, 2)
         with pytest.raises(UsageError):  # an object beyond the horizon
             is_support(frozenset(), leaf(0, e(5)), 2, 2)
 

@@ -115,7 +115,7 @@ class TestDensity:
 class TestSpanDensityBound:
     def test_single_generator(self):
         # Span{e0} = {0, e0}: two 1-prefixes; 2 <= 2^1
-        assert check_span_density_bound([e(0)], 1) == (2, 2, True)
+        assert check_span_density_bound([e(0)], 1, 2) == (2, 2, True)
 
     def test_empty_generators(self):
         # Span {} = {0}: one prefix; d_k of the empty set is 0, so the bound is 1
@@ -127,7 +127,7 @@ class TestSpanDensityBound:
         assert len(span_elems) == 4
         lhs_oracle = len({project_prefix(v, 2) for v in span_elems})
         assert lhs_oracle == 4
-        assert check_span_density_bound([e(0), e(1)], 2) == (4, 4, True)
+        assert check_span_density_bound([e(0), e(1)], 2, 2) == (4, 4, True)
 
     def test_bound_holds_randomized(self):
         rng = random.Random(14)
