@@ -7,6 +7,16 @@ vector component never moves and the cells U_w = {(a, w) : a} are
 permuted within themselves.  The action extends to hereditarily finite
 objects (atoms, finite sets, tuples) leafwise.
 
+HF objects may share subterms: a node can be the child of several
+nodes, or of one node twice, so an object is a DAG whose expanded tree
+can be exponentially larger (an element of level 9 of a pair tower has
+71 distinct nodes and 3,067 tree nodes).  ``act_hf`` and ``atoms_of``
+cost the number of distinct nodes: ``act_hf`` acts on each distinct
+node once and maps a shared subterm to one shared image, and
+``atoms_of`` yields the atom of each distinct leaf once.  ``repr``,
+``hf_to_json`` and ``sort_key`` still expand the tree, as their output
+does.
+
 Every subgroup is a pointwise stabilizer Ann(S) = {g : <s, g> = 0 for
 every s in S}, and a ``GroupSubspace`` stores only the echelon span of
 S: sizes and indices are rank arithmetic, and the subgroup's own basis
@@ -23,6 +33,7 @@ the cap bounds p^dim C, not |K|, and no basis of K is formed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -91,7 +102,8 @@ class GroupElement:
 
     def __post_init__(self):
         check_prime(self.p)
-        if any(not 0 <= c < self.p for c in self.coords):
+        coords = self.coords
+        if coords and (min(coords) < 0 or max(coords) >= self.p):
             raise UsageError("group element coordinates must be residues mod p")
 
     @property
@@ -231,9 +243,8 @@ class HFObject:
 
     A node is immutable; its content (the atom, or the children) sits in
     ``_data``, and equality and hashing compare the kind and the content.
-    Each kind implements the action, the atom listing, the sort key and
-    the JSON form once, reached through ``act_hf``, ``atoms_of``,
-    ``sort_key`` and ``hf_to_json``.
+    Each kind implements the action, the sort key and the JSON form
+    once, reached through ``act_hf``, ``sort_key`` and ``hf_to_json``.
     """
 
     __slots__ = ("_data", "_hash")
@@ -270,12 +281,9 @@ class AtomLeaf(HFObject):
     def atom(self) -> Atom:
         return self._data
 
-    def _act(self, g: GroupElement) -> "AtomLeaf":
+    def _act(self, g: GroupElement, memo: dict) -> "AtomLeaf":
         moved = act_atom(self._data, g)
         return self if moved is self._data else AtomLeaf(moved)
-
-    def _atoms(self) -> Iterator[Atom]:
-        yield self._data
 
     def _sort_key(self):
         return (0, self._data.a, self._data.w.sort_key())
@@ -312,15 +320,16 @@ class _Collection(HFObject):
     def _ordered(self) -> list[HFObject]:
         return sorted(self._data, key=sort_key) if self._sorted else list(self._data)
 
-    def _act(self, g: GroupElement) -> "_Collection":
-        moved = [m._act(g) for m in self._data]
-        if all(a is b for a, b in zip(moved, self._data)):
-            return self
-        return type(self)(moved)
-
-    def _atoms(self) -> Iterator[Atom]:
-        for m in self._data:
-            yield from m._atoms()
+    def _act(self, g: GroupElement, memo: dict) -> "_Collection":
+        image = memo.get(id(self))
+        if image is None:
+            moved = [m._act(g, memo) for m in self._data]
+            if all(map(operator.is_, moved, self._data)):
+                image = self
+            else:
+                image = type(self)(moved)
+            memo[id(self)] = image
+        return image
 
     def _sort_key(self):
         keys = [m._sort_key() for m in self._data]
@@ -390,7 +399,19 @@ def sort_key(x: HFObject):
 
 
 def atoms_of(x: HFObject) -> Iterator[Atom]:
-    return _node(x)._atoms()
+    """The atom of each distinct leaf of x, once: a subterm shared by
+    several nodes is visited once (nodes are told apart by identity), so
+    this costs the number of distinct nodes, not the size of the tree.
+    Equal atoms on distinct leaves are each yielded."""
+    seen, stack = set(), [_node(x)]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if type(node) is AtomLeaf:
+                yield node._data
+            else:
+                stack.extend(node._data)
 
 
 def hf_max_index(x: HFObject) -> int:
@@ -399,8 +420,12 @@ def hf_max_index(x: HFObject) -> int:
 
 def act_hf(x: HFObject, g: GroupElement) -> HFObject:
     """Apply the action to every atom leaf, re-canonicalizing sets.  A node
-    none of whose atoms moves comes back as the same object."""
-    return _node(x)._act(g)
+    none of whose atoms moves comes back as the same object.
+
+    Each distinct node is acted on once: images are memoized by node
+    identity for this call (x keeps every node alive, so ids are not
+    reused), and a shared subterm maps to one shared image."""
+    return _node(x)._act(g, {})
 
 
 def _footprint_split(

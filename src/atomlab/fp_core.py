@@ -136,7 +136,10 @@ class Vector:
             raise UsageError(
                 f"vector supported at {self.max_index} exceeds horizon {len(coords)}"
             )
-        return sum(v * coords[i] for i, v in self.entries) % self.p
+        total = 0
+        for i, v in self.entries:
+            total += v * coords[i]
+        return total % self.p
 
     def to_text(self, zero: str = "") -> str:
         if not self.entries:

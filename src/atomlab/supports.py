@@ -140,7 +140,19 @@ def reduce_support_step(
     if len(supplement) < 2:
         raise UsageError("reduction step needs |B| >= 2")
     _validate_instance(x, orbit_set, base, supplement, horizon, p, cap)
+    return _reduce_step(x, base, supplement, horizon, p, cap)
 
+
+def _reduce_step(
+    x: HFObject,
+    base: tuple[Vector, ...],
+    supplement: list[Vector],
+    horizon: int,
+    p: int,
+    cap: int,
+) -> tuple[Vector | None, list[Vector], ReductionStep]:
+    """The body of ``reduce_support_step`` on an instance already
+    validated, with |B| >= 2."""
     # (i) drop a single element if what remains already supports x
     for j in range(len(supplement)):
         trimmed = supplement[:j] + supplement[j + 1 :]
@@ -203,6 +215,10 @@ def find_small_support(
     """Iterate the reduction until at most one supplementary vector remains.
 
     Returns (A union B_final, trace); the result is re-checked to support x.
+    The instance is validated once: each step's output is again a valid
+    instance (X and x are unchanged, the new b is independent modulo
+    Span(A union rest), and the step checks that the reduced set
+    supports x), so later steps do not validate it again.
     """
     base = tuple(base)
     supplement = list(supplement)
@@ -210,9 +226,7 @@ def find_small_support(
     _validate_instance(x, orbit_set, base, current, horizon, p, cap)
     steps = []
     while len(current) >= 2:
-        _, current, step = reduce_support_step(
-            x, orbit_set, base, current, horizon, p, cap
-        )
+        _, current, step = _reduce_step(x, base, current, horizon, p, cap)
         steps.append(step)
     if len(current) == 1 and is_support(base, x, horizon, p, cap=cap):
         steps.append(ReductionStep(tuple(current), None, None, None, None, True))

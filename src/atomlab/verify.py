@@ -8,8 +8,9 @@ Where an operation has a brute-force counterpart, the suite runs the
 brute force independently of the production route: support checks are
 re-done by enumerating the whole group with raw dot products, orbits and
 stabilizers by acting with every member of the whole group that lies in
-the subgroup, log* is re-derived by iterating ceiling logs, and span
-densities are re-counted over the listed span.
+the subgroup, the action on objects with shared subterms by plain
+recursion over the expanded tree, log* is re-derived by iterating
+ceiling logs, and span densities are re-counted over the listed span.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from .atom_action import (
     act_atom,
     act_hf,
     atom,
+    atoms_of,
     compose,
     from_kuratowski,
+    hf_to_json,
     orbit,
     pointwise_stabilizer,
     stabilizer_in,
@@ -124,6 +127,24 @@ def random_hf_over(
     return FiniteSet(children) if rng.random() < 0.5 else HFTuple(children)
 
 
+def random_dag(rng: random.Random, p: int, horizon: int, depth: int) -> HFObject:
+    """Random HF object whose nodes reuse earlier nodes as children: each
+    of ``depth`` layers adds 1-3 sets or tuples of 1-3 children drawn from
+    the nodes built so far, so subterms are shared (a tuple may hold one
+    node twice), and the expanded tree has at most 3^depth leaves."""
+    nodes: list[HFObject] = [
+        AtomLeaf(atom(rng.randrange(p), random_vector(rng, p, horizon)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    for _ in range(depth):
+        layer = []
+        for _ in range(rng.randint(1, 3)):
+            kids = [rng.choice(nodes) for _ in range(rng.randint(1, 3))]
+            layer.append(FiniteSet(kids) if rng.random() < 0.5 else HFTuple(kids))
+        nodes += layer
+    return nodes[-1]
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
@@ -139,6 +160,23 @@ def support_oracle(
             if act_hf(x, GroupElement(p, coords)) != x:
                 return False
     return True
+
+
+def tree_act(x: HFObject, g: GroupElement) -> HFObject:
+    """The action by plain recursion over the expanded tree: no memo and
+    no shortcut for unmoved nodes, each atom moved by a raw dot product."""
+    if isinstance(x, AtomLeaf):
+        a = x.atom
+        return AtomLeaf(atom(a.a + a.w.dot_dense(g.coords), a.w))
+    images = [tree_act(m, g) for m in x]
+    return FiniteSet(images) if isinstance(x, FiniteSet) else HFTuple(images)
+
+
+def tree_atoms(x: HFObject) -> list:
+    """Every leaf's atom, by plain recursion over the expanded tree."""
+    if isinstance(x, AtomLeaf):
+        return [x.atom]
+    return [a for m in x for a in tree_atoms(m)]
 
 
 def iterated_log_star(n: int, p: int) -> int:
@@ -293,6 +331,20 @@ def suite_action_laws(cfg: VerifyConfig) -> list[Check]:
             if not acc.is_identity:
                 ok = False
     checks.append(Check("order-p", ok))
+
+    # last, so that the random streams of the checks above do not change
+    ok = True
+    count = 0
+    for p in (2, 3):
+        for _ in range(_n(cfg, 20)):
+            x = random_dag(rng, p, horizon, 5)
+            g = GroupElement(p, tuple(rng.randrange(p) for _ in range(horizon)))
+            if hf_to_json(act_hf(x, g)) != hf_to_json(tree_act(x, g)):
+                ok = False
+            if set(atoms_of(x)) != set(tree_atoms(x)):
+                ok = False
+            count += 1
+    checks.append(Check("shared-subterms-vs-tree", ok, f"{count} objects"))
     return checks
 
 

@@ -274,6 +274,12 @@ class TestSerialization:
         assert g.to_text() == "1,0,2"
         assert GroupElement.from_text("1,0,2", 3) == g
 
+    def test_group_element_coordinates_must_be_residues(self):
+        assert GroupElement(2, ()).horizon == 0
+        for p, coords in ((2, (0, 2)), (3, (-1, 0)), (5, (5,))):
+            with pytest.raises(UsageError, match="residues mod p"):
+                GroupElement(p, coords)
+
     def test_hf_json_round_trip(self):
         x = FiniteSet(
             [

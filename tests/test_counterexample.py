@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from atomlab.atom_action import GroupElement, act_hf, leaf
+from atomlab.atom_action import GroupElement, act_hf, atoms_of, leaf
 from atomlab.counterexample import (
+    DEFAULT_TOWER_CAP,
     build_tower,
     level_swap,
     refute_pcf,
@@ -42,6 +43,14 @@ class TestBuildTower:
         for level in tower.levels:
             assert is_support([], level, 4, p=2, exhaustive=True)
 
+    def test_atoms_of_yields_each_shared_leaf_once(self):
+        # the tree of level 11 has 12,284 leaves, over 24 distinct ones
+        atoms = list(atoms_of(build_tower(12).levels[11]))
+        assert len(atoms) == 24
+        assert {(a.a, a.w.max_index) for a in atoms} == {
+            (a, i) for a in (0, 1) for i in range(12)
+        }
+
     def test_height_bounds(self):
         with pytest.raises(UsageError):
             build_tower(0)
@@ -66,12 +75,22 @@ class TestSwapEffect:
             assert act_hf(u, ident) is u and act_hf(v, ident) is v
 
     def test_contract_exhaustive(self):
-        for height in range(1, 9):
+        for height in range(1, DEFAULT_TOWER_CAP + 1):
             tower = build_tower(height)
             for i in range(height):
                 assert swap_effect(tower, i) == [
                     (n, n >= i) for n in range(height)
                 ]
+
+    def test_shared_subterm_has_one_image(self):
+        # both members of level 5 hold u_4; the level-2 swap sends it to
+        # one image object, held by both image members
+        tower = build_tower(6)
+        _, v4 = tower.level_pair(4)
+        image = act_hf(tower.levels[5], level_swap(tower, 2))
+        firsts = [t.items[0] for m in image for t in m if t.items[0] == v4]
+        assert len(firsts) == 2
+        assert firsts[0] is firsts[1]
 
     def test_composition_consistency(self):
         from atomlab.atom_action import compose

@@ -21,6 +21,7 @@ from atomlab.atom_action import (
     GroupElement,
     HFTuple,
     act_hf,
+    atoms_of,
     compose,
     hf_from_json,
     hf_to_json,
@@ -35,10 +36,13 @@ from atomlab.thin_ideal import certificate_violations, density_d_k, log_star_p
 from atomlab.verify import (
     group_oracle,
     iterated_log_star,
+    random_dag,
     random_hf,
     random_reduction_instance,
     random_vector,
     support_oracle,
+    tree_act,
+    tree_atoms,
 )
 
 HORIZON = 3
@@ -86,6 +90,23 @@ def test_acting_twice_is_acting_by_the_composite(data):
     x = data.draw(hf_objects(p))
     g, h = data.draw(group_elements(p)), data.draw(group_elements(p))
     assert act_hf(act_hf(x, g), h) == act_hf(x, compose(g, h))
+
+
+def distinct_leaves(x):
+    if isinstance(x, AtomLeaf):
+        return {id(x)}
+    return set().union(*map(distinct_leaves, x))
+
+
+@PROPERTY
+@given(primes, st.integers(1, 5), st.integers(0, 2**32), st.data())
+def test_shared_subterms_act_and_list_as_the_expanded_tree(p, depth, seed, data):
+    x = random_dag(random.Random(seed), p, HORIZON, depth)
+    g = data.draw(group_elements(p))
+    assert hf_to_json(act_hf(x, g)) == hf_to_json(tree_act(x, g))
+    listed = list(atoms_of(x))
+    assert set(listed) == set(tree_atoms(x))
+    assert len(listed) == len(distinct_leaves(x))
 
 
 @PROPERTY
