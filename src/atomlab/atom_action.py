@@ -23,19 +23,19 @@ S: sizes and indices are rank arithmetic, and the subgroup's own basis
 is built (by ``fp_core.annihilator``) only where it is listed.
 
 An element g moves an object x only through the pairings <w, g> over
-the atom vectors w of x.  So ``orbit`` and ``stabilizer_in`` split
-K = Ann(S) under g -> (<w, g>)_w, w over a basis of the footprint
-span(atom vectors of x): the kernel fixes x, and x.g depends only on
-g's part in a complement C, dim C at most the footprint rank.  C is
-built from S and the footprint alone and is all that is enumerated, so
-the cap bounds p^dim C, not |K|, and no basis of K is formed.
+the atom vectors w of x, so ``_footprint_split`` splits K = Ann(S) under
+phi: g -> (<w, g>)_w, w over a basis of x's footprint, into the kernel,
+which fixes x, the image phi(K), of dimension at most the footprint rank
+r, and a lift f -> g_f into K; no basis of K is formed.  ``orbit`` and
+``stabilizer_in`` enumerate the image (the cap bounds its size, not
+|K|), and ``fixed_by`` acts by the lifts of its basis only, r at most.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import InternalConsistencyError, UsageError
 from .fp_core import (
@@ -43,6 +43,7 @@ from .fp_core import (
     Subspace,
     Vector,
     annihilator,
+    check_horizon,
     check_prime,
     span_of,
 )
@@ -87,12 +88,6 @@ class Atom:
 atom = Atom  # lower-case shorthand
 
 
-def _check_horizon(vectors: Iterable[Vector], horizon: int) -> None:
-    top = max((w.max_index for w in vectors), default=-1)
-    if top >= horizon:
-        raise UsageError(f"vector supported at {top} exceeds horizon {horizon}")
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """A residue assignment to every coordinate below the horizon (dense)."""
@@ -129,7 +124,7 @@ class GroupElement:
 
     @classmethod
     def from_vector(cls, v: Vector, horizon: int) -> "GroupElement":
-        _check_horizon((v,), horizon)
+        check_horizon((v,), horizon)
         coords = [0] * horizon
         for i, c in v.entries:
             coords[i] = c
@@ -181,7 +176,7 @@ class GroupSubspace:
     fixed: Subspace
 
     def __post_init__(self):
-        _check_horizon(self.fixed.basis, self.horizon)
+        check_horizon(self.fixed.basis, self.horizon)
 
     @property
     def p(self) -> int:
@@ -414,10 +409,6 @@ def atoms_of(x: HFObject) -> Iterator[Atom]:
                 stack.extend(node._data)
 
 
-def hf_max_index(x: HFObject) -> int:
-    return max((a.w.max_index for a in atoms_of(x)), default=-1)
-
-
 def act_hf(x: HFObject, g: GroupElement) -> HFObject:
     """Apply the action to every atom leaf, re-canonicalizing sets.  A node
     none of whose atoms moves comes back as the same object.
@@ -429,11 +420,12 @@ def act_hf(x: HFObject, g: GroupElement) -> HFObject:
 
 
 def _footprint_split(
-    x: HFObject, subgroup: GroupSubspace, cap: int
-) -> tuple[tuple[Vector, ...], Iterator[tuple[Vector, GroupElement]]]:
+    x: HFObject, subgroup: GroupSubspace
+) -> tuple[tuple[Vector, ...], Subspace, Callable[[Vector], GroupElement]]:
     """Split K = Ann(S) under phi: k -> (<w_j, k>)_j, w_1..w_r the echelon
-    basis of x's footprint.  Returns that basis and the pairs (f, g_f), f
-    over phi(K), listed under the cap; the g_f span a complement of ker phi.
+    basis of x's footprint.  Returns that basis, the image phi(K) and the
+    lift f -> g_f: the g_f lie in K, realize f and span a complement of
+    ker phi, which fixes x.
 
     One echelon pass over the rows (s | 0), s in S, and (w_j | e_j), the
     tag e_j placed past the horizon.  Rows (0 | t) give the relations R,
@@ -442,28 +434,28 @@ def _footprint_split(
     g_f = sum (tau . f) e_pivot pairs to tau . f with each row: it lies
     in K and realizes f."""
     p, horizon = subgroup.p, subgroup.horizon
-    footprint = span_of((a.w for a in atoms_of(x)), p).basis
-    _check_horizon(footprint, horizon)
+    footprint = span_of({a.w for a in atoms_of(x)}, p).basis
+    check_horizon(footprint, horizon)
     tagged = (
         Vector(p, w.entries + ((horizon + j, 1),)) for j, w in enumerate(footprint)
     )
     relations, lifts = [], []
     for row in span_of((*subgroup.fixed.basis, *tagged), p).basis:
-        tag = dict((i - horizon, c) for i, c in row.entries if i >= horizon)
+        tail = tuple((i - horizon, c) for i, c in row.entries if i >= horizon)
+        tag = Vector(p, tail)
         if row.lead_index >= horizon:
-            relations.append(Vector(p, tuple(tag.items())))
+            relations.append(tag)
         else:
             lifts.append((row.lead_index, tag))
     image = annihilator(Subspace(p, tuple(relations)), len(footprint))
 
-    def pairs():
-        for f in image.enumerate_elements(cap):
-            coords = [0] * horizon
-            for pivot, tag in lifts:
-                coords[pivot] = sum(c * tag.get(j, 0) for j, c in f.entries) % p
-            yield f, GroupElement(p, tuple(coords))
+    def lift(f: Vector) -> GroupElement:
+        coords = [0] * horizon
+        for pivot, tag in lifts:
+            coords[pivot] = tag.dot(f)
+        return GroupElement(p, tuple(coords))
 
-    return footprint, pairs()
+    return footprint, image, lift
 
 
 def orbit(
@@ -471,8 +463,8 @@ def orbit(
 ) -> frozenset[HFObject]:
     """{x.g : g in the subgroup}, by enumerating a complement of the
     footprint kernel (the cap bounds its size, not the subgroup's)."""
-    _, pairs = _footprint_split(x, subgroup, cap)
-    return frozenset(act_hf(x, g) for _, g in pairs)
+    _, image, lift = _footprint_split(x, subgroup)
+    return frozenset(act_hf(x, lift(f)) for f in image.enumerate_elements(cap))
 
 
 def stabilizer_in(
@@ -483,8 +475,8 @@ def stabilizer_in(
     the fixers in the complement, and T = {sum_j t_j w_j : t orthogonal
     to F}."""
     p = subgroup.p
-    footprint, pairs = _footprint_split(x, subgroup, cap)
-    fixing = [f for f, g in pairs if act_hf(x, g) == x]
+    footprint, image, lift = _footprint_split(x, subgroup)
+    fixing = [f for f in image.enumerate_elements(cap) if act_hf(x, lift(f)) == x]
     kept = span_of(fixing, p)
     # fixing is preserved under composition, so the fixers in the
     # complement must form a subspace of it
@@ -498,6 +490,14 @@ def stabilizer_in(
     )
     fixed = span_of((*subgroup.fixed.basis, *also_fixed), p)
     return GroupSubspace(subgroup.horizon, fixed)
+
+
+def fixed_by(x: HFObject, subgroup: GroupSubspace) -> bool:
+    """True iff every element of the subgroup fixes x.  The kernel fixes x
+    and the fixers form a subgroup, so the lifts of a basis of the image
+    decide it: at most footprint-rank actions, and no cap."""
+    _, image, lift = _footprint_split(x, subgroup)
+    return all(act_hf(x, lift(f)) == x for f in image.basis)
 
 
 # ---------------------------------------------------------------------------

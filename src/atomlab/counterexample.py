@@ -91,9 +91,10 @@ def swap_effect(tower: PairTower, i: int) -> list[tuple[int, bool]]:
     for n in range(tower.height):
         u, v = tower.level_pair(n)
         image = (act_hf(u, g), act_hf(v, g))
-        if image not in ((u, v), (v, u)):
+        # one compare per image: equal but distinct DAGs compare tree-wise
+        swapped = image != (u, v)
+        if swapped and image != (v, u):
             raise InternalConsistencyError(f"level {n} is not preserved by {g}")
-        swapped = image == (v, u)
         if swapped != (n >= i):
             raise InternalConsistencyError(
                 f"swap at {i} acted wrongly at level {n}: swapped={swapped}"

@@ -130,6 +130,12 @@ class Vector:
             return self
         return Vector(self.p, tuple((i, (v * c) % self.p) for i, v in self.entries))
 
+    def dot(self, other: "Vector") -> int:
+        """The pairing sum_i self_i * other_i of two sparse vectors."""
+        self._check_same_p(other)
+        coeffs = dict(other.entries)
+        return sum(v * coeffs.get(i, 0) for i, v in self.entries) % self.p
+
     def dot_dense(self, coords: Sequence[int]) -> int:
         """Pairing with a dense coordinate tuple; entries beyond it are rejected."""
         if self.max_index >= len(coords):
@@ -168,6 +174,13 @@ class Vector:
 
     def __repr__(self):
         return self.to_text(zero=ZERO_TEXT_REPORT)
+
+
+def check_horizon(vectors: Iterable[Vector], horizon: int) -> None:
+    """The one horizon check: every vector is supported below the horizon."""
+    top = max((w.max_index for w in vectors), default=-1)
+    if top >= horizon:
+        raise UsageError(f"vector supported at {top} exceeds horizon {horizon}")
 
 
 def unit(p: int, i: int) -> Vector:
@@ -254,9 +267,6 @@ class Subspace:
                     v = v + b.scale(c)
             yield v
 
-    def max_index(self) -> int:
-        return max((b.max_index for b in self.basis), default=-1)
-
 
 def _eliminate(rows: Iterable[Vector], v: Vector) -> Vector:
     """Clear each row's pivot coordinate from v (rows have pivot coefficient 1)."""
@@ -320,10 +330,7 @@ def annihilator(s: Subspace, n: int) -> Subspace:
 def complement_within(s: Subspace, horizon: int) -> Subspace:
     """Deterministic complement inside the full horizon-dimensional space:
     standard vectors at the non-pivot coordinates, ascending."""
-    if s.max_index() >= horizon:
-        raise UsageError(
-            f"subspace supported at {s.max_index()} exceeds horizon {horizon}"
-        )
+    check_horizon(s.basis, horizon)
     pivots = {b.lead_index for b in s.basis}
     basis = tuple(unit(s.p, i) for i in range(horizon) if i not in pivots)
     return Subspace(s.p, basis)

@@ -1,9 +1,9 @@
 """Support checking and constructive support reduction.
 
-A set A of vectors supports an object x when every group element fixing
-all atoms over A fixes x.  Because the fixing set of x is a subgroup, it
-is enough to test a basis of the pointwise stabilizer of A; a full
-enumeration mode exists for cross-checking.
+A set A of vectors supports an object x when the pointwise stabilizer
+Ann(A), every group element fixing all atoms over A, fixes x.
+``atom_action.fixed_by`` decides that by at most footprint-rank actions;
+``exhaustive=True`` enumerates Ann(A) instead, as a cross-check.
 
 ``reduce_support_step`` shrinks a finite supplementary support B by one
 element at a time: either some maximal proper subset of B already
@@ -22,12 +22,13 @@ from .atom_action import (
     GroupElement,
     HFObject,
     act_hf,
-    hf_max_index,
+    atoms_of,
+    fixed_by,
     pointwise_stabilizer,
     stabilizer_in,
 )
 from .errors import InternalConsistencyError, UsageError
-from .fp_core import DEFAULT_ENUM_CAP, Vector, _insert_echelon, span_of
+from .fp_core import DEFAULT_ENUM_CAP, Vector, _insert_echelon, check_horizon, span_of
 
 
 def is_support(
@@ -40,16 +41,14 @@ def is_support(
 ) -> bool:
     """True iff every group element fixing at the given vectors fixes x.
 
-    Checks a basis of the pointwise stabilizer; ``exhaustive=True``
+    ``fixed_by`` decides it on the pointwise stabilizer; ``exhaustive=True``
     enumerates the whole stabilizer instead (debug cross-check).
     """
-    if hf_max_index(x) >= horizon:
-        raise UsageError(
-            f"object supported at {hf_max_index(x)} exceeds horizon {horizon}"
-        )
     stab = pointwise_stabilizer(vectors, horizon, p)
-    gens = stab.elements(cap) if exhaustive else stab.basis_elements()
-    return all(act_hf(x, g) == x for g in gens)
+    if not exhaustive:
+        return fixed_by(x, stab)  # checks x against the horizon first
+    check_horizon((a.w for a in atoms_of(x)), horizon)  # before the cap check
+    return all(act_hf(x, g) == x for g in stab.elements(cap))
 
 
 @dataclass(frozen=True)
@@ -163,38 +162,34 @@ def _reduce_step(
     b1, b2, rest = supplement[0], supplement[1], supplement[2:]
     big = pointwise_stabilizer(base + tuple(rest), horizon, p)
     stab_x = stabilizer_in(x, big, cap)
-    if big.index_over(stab_x) != p:
-        raise InternalConsistencyError(
-            f"[G':H] = {big.index_over(stab_x)} != p; X is not a genuine "
-            "p-element orbit situation"
-        )
     both_fixed = pointwise_stabilizer(base + tuple(supplement), horizon, p)
-    if stab_x.index_over(both_fixed) != p:
-        raise InternalConsistencyError(
-            f"[H:G'_(b1,b2)] = {stab_x.index_over(both_fixed)} != p; X is not "
-            "a genuine p-element orbit situation"
-        )
+    for name, index in (
+        ("[G':H]", big.index_over(stab_x)),
+        ("[H:G'_(b1,b2)]", stab_x.index_over(both_fixed)),
+    ):
+        if index != p:
+            raise InternalConsistencyError(
+                f"{name} = {index} != p; X is not a genuine p-element orbit situation"
+            )
 
     # h is the first element of stab_x, in enumeration order, that does not
     # fix at both b1 and b2.  That is the last basis element that does not:
     # every element enumerated before it combines only later basis
-    # elements, and those all fix at b1 and b2.
-    h = next(
-        g
-        for g in reversed(stab_x.basis_elements())
-        if (b1.dot_dense(g.coords), b2.dot_dense(g.coords)) != (0, 0)
-    )
-    m = b1.dot_dense(h.coords)
-    n = b2.dot_dense(h.coords)
+    # elements, and those all fix at b1 and b2.  Only h is made dense.
+    for v in reversed(stab_x.space.basis):
+        m, n = b1.dot(v), b2.dot(v)
+        if (m, n) != (0, 0):
+            break
+    h = GroupElement.from_vector(v, horizon)
     if m == 0:
         b = b1
     elif n == 0:
         b = b2
     else:
         b = b1.scale(pow(m, -1, p)) - b2.scale(pow(n, -1, p))
-    # both inclusions, checked outright: the stabilizer of x fixes at b,
-    # and everything fixing at the reduced set fixes x
-    if any(b.dot_dense(g.coords) != 0 for g in stab_x.basis_elements()):
+    # both inclusions, checked outright: the stabilizer Ann(F) of x fixes
+    # at b (b lies in F), and everything fixing at the reduced set fixes x
+    if not stab_x.fixed.contains(b):
         raise InternalConsistencyError("stabilizer of x does not fix at b")
     new_supplement = [b] + rest
     if not is_support(base + tuple(new_supplement), x, horizon, p, cap=cap):
@@ -221,7 +216,6 @@ def find_small_support(
     supports x), so later steps do not validate it again.
     """
     base = tuple(base)
-    supplement = list(supplement)
     current = normalize_supplement(base, supplement, p)
     _validate_instance(x, orbit_set, base, current, horizon, p, cap)
     steps = []

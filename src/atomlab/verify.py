@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .atom_action import (
     AtomLeaf,
@@ -107,22 +108,18 @@ def random_vector(
 
 
 def random_hf(rng: random.Random, p: int, horizon: int, depth: int) -> HFObject:
-    if depth == 0 or rng.random() < 0.35:
-        return AtomLeaf(atom(rng.randrange(p), random_vector(rng, p, horizon)))
-    children = [
-        random_hf(rng, p, horizon, depth - 1) for _ in range(rng.randint(1, 3))
-    ]
-    return FiniteSet(children) if rng.random() < 0.5 else HFTuple(children)
+    return random_hf_over(rng, p, lambda: random_vector(rng, p, horizon), depth)
 
 
 def random_hf_over(
-    rng: random.Random, p: int, vectors: list[Vector], depth: int
+    rng: random.Random, p: int, draw_vector: Callable[[], Vector], depth: int
 ) -> HFObject:
-    """Random HF object whose atom vectors are drawn from the given list."""
+    """Random HF object whose atom vectors are drawn by ``draw_vector``."""
     if depth == 0 or rng.random() < 0.35:
-        return AtomLeaf(atom(rng.randrange(p), rng.choice(vectors)))
+        return AtomLeaf(atom(rng.randrange(p), draw_vector()))
     children = [
-        random_hf_over(rng, p, vectors, depth - 1) for _ in range(rng.randint(1, 3))
+        random_hf_over(rng, p, draw_vector, depth - 1)
+        for _ in range(rng.randint(1, 3))
     ]
     return FiniteSet(children) if rng.random() < 0.5 else HFTuple(children)
 
@@ -456,7 +453,7 @@ def random_reduction_instance(rng: random.Random, p: int, horizon: int):
             continue
 
         fixed_vecs = list(base_span.enumerate_elements())
-        junk = random_hf_over(rng, p, fixed_vecs, rng.randint(0, 2))
+        junk = random_hf_over(rng, p, lambda: rng.choice(fixed_vecs), rng.randint(0, 2))
         if rng.random() < 0.3:
             core: HFObject = AtomLeaf(atom(rng.randrange(p), b1))
         else:

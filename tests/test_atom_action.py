@@ -14,6 +14,7 @@ from atomlab.atom_action import (
     act_hf,
     atom,
     compose,
+    fixed_by,
     from_kuratowski,
     hf_from_json,
     hf_to_json,
@@ -26,6 +27,7 @@ from atomlab.atom_action import (
 )
 from atomlab.errors import ResourceError, UsageError
 from atomlab.fp_core import Vector, span_of, unit
+from atomlab.supports import is_support
 
 
 def e(i, p=2):
@@ -205,14 +207,48 @@ class TestOrbitStabilizer:
         full = GroupSubspace.full(2, horizon)
         assert len(orbit(x, full)) == 4
         assert stabilizer_in(x, full).dimension == horizon - 2
+        assert is_support([e(0), e(horizon - 1)], x, horizon, 2)
+        assert not is_support([e(horizon - 1)], x, horizon, 2)
+
+    def test_fixed_by_acts_at_most_footprint_rank_times(self, monkeypatch):
+        import atomlab.atom_action as atom_action
+
+        calls = []
+
+        def counted(x, g):
+            calls.append(g)
+            return act_hf(x, g)
+
+        monkeypatch.setattr(atom_action, "act_hf", counted)
+        horizon = 100_000
+        x = pair(leaf(0, e(0)), leaf(0, e(1) + e(horizon - 1)))
+        for vectors, want in (
+            ([], False),
+            ([e(0)], False),
+            ([e(1) + e(horizon - 1)], False),
+            ([e(0), e(1) + e(horizon - 1)], True),
+        ):
+            calls.clear()
+            assert is_support(vectors, x, horizon, 2) == want
+            assert len(calls) <= 2  # the footprint rank
+        calls.clear()
+        sub = pointwise_stabilizer([e(0) + e(1) + e(horizon - 1)], horizon, 2)
+        assert not fixed_by(x, sub)
+        assert len(calls) == 1  # the image has dimension 1
 
     def test_atom_beyond_horizon_is_an_error(self):
         x = pair(leaf(0, e(0)), leaf(0, e(5)))
-        trivial = pointwise_stabilizer([e(0), e(1), e(2)], 3, 2)
-        for sub in (GroupSubspace.full(2, 3), trivial):
-            for query in (orbit, stabilizer_in):
+        trivial = [e(0), e(1), e(2)]
+        for sub, fixed in (
+            (GroupSubspace.full(2, 3), []),
+            (pointwise_stabilizer(trivial, 3, 2), trivial),
+        ):
+            for query in (orbit, stabilizer_in, fixed_by):
                 with pytest.raises(UsageError, match="exceeds horizon 3"):
                     query(x, sub)
+            for exhaustive in (False, True):
+                with pytest.raises(UsageError, match="exceeds horizon 3"):
+                    is_support(fixed, x, 3, 2, exhaustive=exhaustive)
 
 
 class TestActionLaws:

@@ -302,12 +302,16 @@ def test_logstar_past_a_huge_tower(capsys):
         (["certify", "--input", "window_bool.json"], "expected an integer, got True"),
         (["reduce-support", "--input", "instance_float.json"],
          "TypeError: expected an integer, got 2.9"),
+        # the horizon is checked before the 2^30-element enumeration is capped
+        (["support-check", "--a", "", "--x", '{"atom":"(0|40:1)"}', "--horizon", "30",
+          "--exhaustive"], "exceeds horizon 30"),
     ],
     ids=["missing-file", "truncated-json", "atom-not-text", "set-not-list",
          "reduce-support-missing-keys", "extract-thin-missing-keys",
          "output-unwritable", "trials-zero", "trials-negative",
          "certify-p-float", "certify-window-and-index-float", "certify-bound-text",
-         "certify-window-and-bound-bool", "reduce-support-p-and-horizon-float"],
+         "certify-window-and-bound-bool", "reduce-support-p-and-horizon-float",
+         "support-check-exhaustive-beyond-horizon"],
 )  # fmt: skip
 def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
     stream = {"kind": "extracted-stream", "p": 2, "window": 64,

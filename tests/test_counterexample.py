@@ -2,15 +2,16 @@ import itertools
 
 import pytest
 
-from atomlab.atom_action import GroupElement, act_hf, atoms_of, leaf
+from atomlab.atom_action import FiniteSet, GroupElement, act_hf, atoms_of, leaf
 from atomlab.counterexample import (
     DEFAULT_TOWER_CAP,
+    PairTower,
     build_tower,
     level_swap,
     refute_pcf,
     swap_effect,
 )
-from atomlab.errors import ResourceError, UsageError
+from atomlab.errors import InternalConsistencyError, ResourceError, UsageError
 from atomlab.fp_core import unit
 from atomlab.supports import is_support
 
@@ -81,6 +82,19 @@ class TestSwapEffect:
                 assert swap_effect(tower, i) == [
                     (n, n >= i) for n in range(height)
                 ]
+
+    def test_broken_contract_is_refused(self):
+        def tower(*pairs):
+            return PairTower(tuple(FiniteSet(pr) for pr in pairs), tuple(pairs))
+
+        # the swap at 0 sends level 0 outside {u, v}
+        moved_out = tower((leaf(0, e(0)), leaf(0, e(1))), (leaf(0, e(1)), leaf(1, e(1))))
+        with pytest.raises(InternalConsistencyError, match="level 0 is not preserved"):
+            swap_effect(moved_out, 0)
+        # the swap at 1 exchanges level 0, which lies below it
+        early = tower((leaf(0, e(1)), leaf(1, e(1))), (leaf(0, e(1)), leaf(1, e(1))))
+        with pytest.raises(InternalConsistencyError, match="acted wrongly at level 0"):
+            swap_effect(early, 1)
 
     def test_shared_subterm_has_one_image(self):
         # both members of level 5 hold u_4; the level-2 swap sends it to

@@ -180,6 +180,22 @@ def test_support_stays_a_support_when_a_vector_is_added(data):
 
 
 @PROPERTY
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 4),
+    st.sampled_from([random_hf, random_dag]),
+    st.integers(0, 2**32),
+)
+def test_both_support_routes_match_the_brute_force_oracle(p, horizon, draw, seed):
+    rng = random.Random(seed)
+    a = [random_vector(rng, p, horizon) for _ in range(rng.randint(0, horizon))]
+    x = draw(rng, p, horizon, 3)
+    want = support_oracle(tuple(a), x, horizon, p)
+    assert is_support(a, x, horizon, p) == want
+    assert is_support(a, x, horizon, p, exhaustive=True) == want
+
+
+@PROPERTY
 @given(primes, st.integers(2, 4), st.integers(0, 2**32))
 def test_reduced_support_is_a_support_by_brute_force(p, horizon, seed):
     base, supp, x, x_orbit = random_reduction_instance(random.Random(seed), p, horizon)

@@ -25,16 +25,18 @@ def e(i, p=2):
     return unit(p, i)
 
 
-def matching(p, delta):
-    """The bijection pairing (j, e0) with (j+delta, e1)."""
-    e0, e1 = unit(p, 0), unit(p, 1)
+def matching(p, delta, b1=None, b2=None):
+    """The bijection pairing (j, b1) with (j+delta, b2); b1, b2 default
+    to e0, e1."""
+    b1 = unit(p, 0) if b1 is None else b1
+    b2 = unit(p, 1) if b2 is None else b2
     return FiniteSet(
-        pair(leaf(j, e0), leaf((j + delta) % p, e1)) for j in range(p)
+        pair(leaf(j, b1), leaf((j + delta) % p, b2)) for j in range(p)
     )
 
 
-def matching_orbit(p):
-    return FiniteSet(matching(p, d) for d in range(p))
+def matching_orbit(p, b1=None, b2=None):
+    return FiniteSet(matching(p, d, b1, b2) for d in range(p))
 
 
 class TestIsSupport:
@@ -197,6 +199,18 @@ class TestFindSmallSupport:
             x, matching_orbit(2), base, supp, 3, p
         )
         assert is_support(result, x, 3, p, exhaustive=True)
+
+    def test_matching_at_horizon_ten_thousand(self):
+        # only the printed witness h is H coordinates long
+        horizon = 10_000
+        base = [e(horizon - 1)]
+        b1, b2 = e(1), e(2) + e(horizon // 2)
+        x = matching(2, 0, b1, b2)
+        result, trace = find_small_support(
+            x, matching_orbit(2, b1, b2), base, [b1, b2], horizon, 2
+        )
+        assert span_of(result, 2) == span_of(base + [b1 + b2], 2)
+        assert [step.h.horizon for step in trace.steps] == [horizon]
 
     def test_trace_json_shape(self):
         x = matching(2, 0)
