@@ -135,6 +135,7 @@ class GroupElement:
 
     @classmethod
     def from_text(cls, text: str, p: int) -> "GroupElement":
+        check_prime(p)
         text = text.strip()
         if not text:
             raise UsageError("empty group element text")
@@ -356,9 +357,6 @@ class FiniteSet(_Collection):
     def __contains__(self, item):
         return item in self._data
 
-    def sorted_members(self) -> list[HFObject]:
-        return self._ordered()
-
 
 class HFTuple(_Collection):
     """Ordered tuple of HF objects; equality is positional."""
@@ -376,10 +374,6 @@ class HFTuple(_Collection):
 
 def leaf(a: int, w: Vector) -> AtomLeaf:
     return AtomLeaf(Atom(a, w))
-
-
-def pair(x: HFObject, y: HFObject) -> HFTuple:
-    return HFTuple((x, y))
 
 
 def _node(x) -> HFObject:

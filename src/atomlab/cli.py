@@ -5,11 +5,12 @@ or ∅), sets of vectors are semicolon-separated, group elements are dense
 residue lists like ``1,0,1``, and HF objects are JSON
 ({"atom": "(a|w)"} | {"set": [...]} | {"tuple": [...]}).
 
-Exit status is 0 iff every executed check passed (a false support-check
-or an invalid certificate exits 1); bad flags or inputs, and an --output
-file that cannot be written, exit 2; a cap or lookahead window that runs
-out (ResourceError, WindowExhaustedError) or a failed runtime self-check
-(InternalConsistencyError) exits 3.
+Exit status is 0 iff every executed check passed, and 1 only for a
+negative answer (a false support-check, an invalid certificate); bad
+flags or inputs, and an --output file that cannot be written, exit 2; a
+cap or lookahead window that runs out (ResourceError, WindowExhaustedError)
+or a failed runtime self-check (InternalConsistencyError) exits 3.  Any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from importlib import resources
 
 from .atom_action import (
     Atom,
+    AtomLeaf,
     FiniteSet,
     GroupElement,
-    act_atom,
     act_hf,
     hf_from_json,
     hf_to_json,
@@ -42,7 +43,7 @@ from .errors import (
     ResourceError,
     UsageError,
 )
-from .fp_core import DEFAULT_ENUM_CAP, Vector, json_int, span_of
+from .fp_core import DEFAULT_ENUM_CAP, Vector, check_prime, json_int, span_of
 from .supports import find_small_support, is_support
 from .thin_ideal import (
     DEFAULT_WINDOW,
@@ -96,6 +97,7 @@ def read_input(fields, fixture: str | None = None, path: str | None = None):
 
 
 def parse_vector_set(text: str, p: int) -> list[Vector]:
+    check_prime(p)  # also when the set is empty
     text = text.strip()
     if not text:
         return []
@@ -128,11 +130,11 @@ def emit(args, payload: dict, text: str) -> None:
 def cmd_act(args) -> int:
     g = GroupElement.from_text(args.g, args.p)
     if args.atom is not None:
-        result = act_atom(Atom.from_text(args.atom, args.p), g)
-        emit(args, {"result": {"atom": result.to_text()}}, result.to_text(zero="∅"))
+        x = AtomLeaf(Atom.from_text(args.atom, args.p))
     else:
-        result = act_hf(parse_hf(args.x, args.p), g)
-        emit(args, {"result": hf_to_json(result)}, repr(result))
+        x = parse_hf(args.x, args.p)
+    result = act_hf(x, g)
+    emit(args, {"result": hf_to_json(result)}, repr(result))
     return 0
 
 
@@ -276,10 +278,13 @@ def cmd_tower(args) -> int:
     return 0
 
 
+def _refutation_instance(data) -> tuple[int, list[int]]:
+    return json_int(data["levels"]), [json_int(i) for i in data["s"]]
+
+
 def cmd_refute_pcf(args) -> int:
     if args.fixture:
-        data = load_fixture(args.fixture)
-        levels, s = json_int(data["levels"]), [json_int(i) for i in data["s"]]
+        levels, s = read_input(_refutation_instance, args.fixture)
     else:
         levels, s = args.levels, args.s or []
     tower = build_tower(levels, cap=args.cap_tower)
@@ -523,9 +528,6 @@ def main(argv=None) -> int:
     except (ResourceError, InternalConsistencyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # noqa: BLE001 - surface module diagnostics
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

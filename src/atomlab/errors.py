@@ -21,11 +21,5 @@ class CertificateError(ValueError):
 
 
 class WindowExhaustedError(ResourceError):
-    """A stream's lookahead window ended before a prefix stabilized.
-
-    ``coordinate`` names the offending coordinate when known.
-    """
-
-    def __init__(self, message: str, coordinate: int | None = None):
-        super().__init__(message)
-        self.coordinate = coordinate
+    """A stream's lookahead window ended before a prefix stabilized; the
+    message names the offending coordinate when known."""

@@ -20,14 +20,31 @@ DEFAULT_ENUM_CAP = 10**6
 ZERO_TEXT_REPORT = "∅"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every n below MR_EXACT_BELOW."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
+    if n in MR_BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
     return True
 
 
@@ -36,6 +53,11 @@ _checked_primes: set[int] = set()
 
 def check_prime(p) -> int:
     if p not in _checked_primes:
+        if isinstance(p, int) and p >= MR_EXACT_BELOW:
+            raise UsageError(
+                f"modulus {p} is not below {MR_EXACT_BELOW}, the bound up to "
+                "which primality is decided exactly"
+            )
         if not isinstance(p, int) or not is_prime(p):
             raise UsageError(f"modulus must be a prime integer, got {p!r}")
         _checked_primes.add(p)
@@ -74,6 +96,7 @@ class Vector:
 
     @classmethod
     def from_dict(cls, p: int, mapping: Mapping[int, int]) -> "Vector":
+        check_prime(p)
         entries = tuple(sorted((i, v % p) for i, v in mapping.items() if v % p))
         return cls(p, entries)
 

@@ -103,7 +103,6 @@ def _validate_instance(
     supplement: Sequence[Vector],
     horizon: int,
     p: int,
-    cap: int,
 ) -> None:
     if not isinstance(orbit_set, FiniteSet):
         raise UsageError("X must be a FiniteSet")
@@ -115,7 +114,7 @@ def _validate_instance(
     total = span_of(tuple(base) + tuple(supplement), p)
     if total.dimension != base_span.dimension + len(supplement):
         raise UsageError("B must be independent and disjoint from Span(A)")
-    if not is_support(tuple(base) + tuple(supplement), x, horizon, p, cap=cap):
+    if not is_support(tuple(base) + tuple(supplement), x, horizon, p):
         raise UsageError("A union B must support x")
 
 
@@ -138,7 +137,7 @@ def reduce_support_step(
     supplement = list(supplement)
     if len(supplement) < 2:
         raise UsageError("reduction step needs |B| >= 2")
-    _validate_instance(x, orbit_set, base, supplement, horizon, p, cap)
+    _validate_instance(x, orbit_set, base, supplement, horizon, p)
     return _reduce_step(x, base, supplement, horizon, p, cap)
 
 
@@ -155,7 +154,7 @@ def _reduce_step(
     # (i) drop a single element if what remains already supports x
     for j in range(len(supplement)):
         trimmed = supplement[:j] + supplement[j + 1 :]
-        if is_support(base + tuple(trimmed), x, horizon, p, cap=cap):
+        if is_support(base + tuple(trimmed), x, horizon, p):
             step = ReductionStep(tuple(supplement), None, None, None, None, True)
             return None, trimmed, step
 
@@ -192,7 +191,7 @@ def _reduce_step(
     if not stab_x.fixed.contains(b):
         raise InternalConsistencyError("stabilizer of x does not fix at b")
     new_supplement = [b] + rest
-    if not is_support(base + tuple(new_supplement), x, horizon, p, cap=cap):
+    if not is_support(base + tuple(new_supplement), x, horizon, p):
         raise InternalConsistencyError("reduced set fails to support x")
     step = ReductionStep(tuple(supplement), h, m, n, b, False)
     return b, new_supplement, step
@@ -217,15 +216,15 @@ def find_small_support(
     """
     base = tuple(base)
     current = normalize_supplement(base, supplement, p)
-    _validate_instance(x, orbit_set, base, current, horizon, p, cap)
+    _validate_instance(x, orbit_set, base, current, horizon, p)
     steps = []
     while len(current) >= 2:
         _, current, step = _reduce_step(x, base, current, horizon, p, cap)
         steps.append(step)
-    if len(current) == 1 and is_support(base, x, horizon, p, cap=cap):
+    if len(current) == 1 and is_support(base, x, horizon, p):
         steps.append(ReductionStep(tuple(current), None, None, None, None, True))
         current = []
     result = frozenset(base) | set(current)
-    if not is_support(result, x, horizon, p, cap=cap):
+    if not is_support(result, x, horizon, p):
         raise InternalConsistencyError("reduction produced a non-support")
     return result, ReductionTrace(tuple(steps))

@@ -77,7 +77,6 @@ def check_span_density_bound(
 class DensityProfile:
     """Per-k densities of a fixed set, with the (log* d_k, log* k) ratio pairs."""
 
-    p: int
     entries: tuple[tuple[int, int, tuple[int, int]], ...]
 
     def __post_init__(self):
@@ -111,7 +110,7 @@ def density_profile(
     for k in range(1, k_max + 1):
         d = density_d_k(vectors, k)
         entries.append((k, d, (log_star_p(d, p), log_star_p(k, p))))
-    return DensityProfile(p, tuple(entries))
+    return DensityProfile(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +164,6 @@ def canonical_stream(p: int) -> Iterator[Vector]:
         i += 1
 
 
-def _first_prefix_disagreement(a: Vector, b: Vector, k: int) -> int:
-    """Least coordinate < k where the two vectors differ (they must differ)."""
-    da = {i: v for i, v in a.entries if i < k}
-    db = {i: v for i, v in b.entries if i < k}
-    diff = [i for i in set(da) | set(db) if da.get(i, 0) != db.get(i, 0)]
-    return min(diff)
-
-
 def _stable_from(
     stream: VectorStream, c: int, end: int
 ) -> tuple[bool, int | None]:
@@ -183,17 +174,15 @@ def _stable_from(
     if base is None:
         return False, None
     ref = project_prefix(base, c)
-    m = c + 1
     compared = 0
-    while m < end:
+    for m in range(c + 1, end):
         v = stream.try_get(m)
         if v is None:
             break
         pv = project_prefix(v, c)
         if pv != ref:
-            return False, _first_prefix_disagreement(pv, ref, c)
+            return False, (pv - ref).lead_index  # the least coordinate that differs
         compared += 1
-        m += 1
     return compared > 0, None
 
 
@@ -242,8 +231,7 @@ def extract_thin_subsequence(
                     f"; coordinate {last_coord} kept changing"
                     if last_coord is not None
                     else ""
-                ),
-                coordinate=last_coord,
+                )
             )
         indices.append(c)
     selected = [stream.get(j) for j in indices]

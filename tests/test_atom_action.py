@@ -20,7 +20,6 @@ from atomlab.atom_action import (
     hf_to_json,
     leaf,
     orbit,
-    pair,
     pointwise_stabilizer,
     stabilizer_in,
     to_kuratowski,
@@ -32,6 +31,10 @@ from atomlab.supports import is_support
 
 def e(i, p=2):
     return unit(p, i)
+
+
+def pair(x, y):
+    return HFTuple((x, y))
 
 
 def full_group(p, horizon):

@@ -276,6 +276,12 @@ def test_certify_checks_window(tmp_path, capsys):
     assert code == 2
 
 
+def test_logstar_at_a_large_prime(capsys):
+    # 2^61 - 1: primality by trial division would not finish
+    code, out, _ = run(capsys, "logstar", "--n", "5", "--p", "2305843009213693951")
+    assert (code, out.strip()) == (0, "1")
+
+
 def test_logstar_past_a_huge_tower(capsys):
     # one above tower(3, 3) = 3^27: the next tower, 3^(3^27), must not be built
     code, out, _ = run(capsys, "logstar", "--p", "3", "--n", "7625597484988")
@@ -305,13 +311,30 @@ def test_logstar_past_a_huge_tower(capsys):
         # the horizon is checked before the 2^30-element enumeration is capped
         (["support-check", "--a", "", "--x", '{"atom":"(0|40:1)"}', "--horizon", "30",
           "--exhaustive"], "exceeds horizon 30"),
+        # each of these once escaped as an uncaught exception
+        (["act", "--p", "0", "--g", "1,0", "--atom", "(0|0:1)"],
+         "modulus must be a prime integer, got 0"),
+        (["orbit", "--p", "0", "--x", '{"atom":"(0|0:1)"}'],
+         "modulus must be a prime integer, got 0"),
+        (["reduce-support", "--input", "instance_p_zero.json"],
+         "modulus must be a prime integer, got 0"),
+        (["extract-thin", "--stream", "file", "--input", "stream_p_zero.json"],
+         "modulus must be a prime integer, got 0"),
+        (["refute-pcf", "--fixture", "matching-p2"], "KeyError: 'levels'"),
+        (["logstar", "--n", "5", "--p", "3317044064679887385961981"],
+         "not below 3317044064679887385961981"),
+        # once printed a density of 0 for a modulus of 4
+        (["density", "--p", "4", "--vectors", ""],
+         "modulus must be a prime integer, got 4"),
     ],
     ids=["missing-file", "truncated-json", "atom-not-text", "set-not-list",
          "reduce-support-missing-keys", "extract-thin-missing-keys",
          "output-unwritable", "trials-zero", "trials-negative",
          "certify-p-float", "certify-window-and-index-float", "certify-bound-text",
          "certify-window-and-bound-bool", "reduce-support-p-and-horizon-float",
-         "support-check-exhaustive-beyond-horizon"],
+         "support-check-exhaustive-beyond-horizon", "act-p-zero", "orbit-p-zero",
+         "reduce-support-p-zero", "extract-thin-p-zero", "refute-pcf-wrong-fixture",
+         "modulus-beyond-exact-primality", "density-empty-set-non-prime"],
 )  # fmt: skip
 def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
     stream = {"kind": "extracted-stream", "p": 2, "window": 64,
@@ -329,6 +352,8 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
         "instance_float.json": {
             **load_fixture("matching-p2"), "p": 2.9, "horizon": 3.5
         },
+        "instance_p_zero.json": {**load_fixture("matching-p2"), "p": 0},
+        "stream_p_zero.json": {**load_fixture("stream-canonical-p2"), "p": 0},
     }
     for name, content in inputs.items():
         text = content if isinstance(content, str) else json.dumps(content)

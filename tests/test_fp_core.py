@@ -5,9 +5,12 @@ import pytest
 
 from atomlab.errors import UsageError
 from atomlab.fp_core import (
+    MR_EXACT_BELOW,
     Subspace,
     Vector,
+    check_prime,
     complement_within,
+    is_prime,
     project_prefix,
     span_of,
     unit,
@@ -43,6 +46,36 @@ class TestScalars:
     def test_non_int_rejected(self):
         with pytest.raises(UsageError):
             e(0).scale(1.5)
+
+
+class TestPrimality:
+    @staticmethod
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    def test_matches_trial_division_below_twenty_thousand(self):
+        assert [n for n in range(20000) if is_prime(n)] == [
+            n for n in range(20000) if self.trial_division(n)
+        ]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # 2047 fools base 2 alone; 3215031751 fools the bases 2, 3, 5 and 7
+        for n in (2047, 3215031751):
+            assert not self.trial_division(n)
+            assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
+        assert not is_prime((2**61 - 1) * (2**31 - 1))
+
+    def test_moduli_from_the_exactness_bound_up_are_refused(self):
+        # the bound is itself a strong pseudoprime to every base used
+        assert MR_EXACT_BELOW == 1287836182261 * 2575672364521
+        assert is_prime(MR_EXACT_BELOW)
+        for p in (MR_EXACT_BELOW, 2**89 - 1):
+            with pytest.raises(UsageError, match=f"not below {MR_EXACT_BELOW}"):
+                check_prime(p)
+        assert check_prime(2**61 - 1) == 2**61 - 1
 
 
 class TestVectorCombine:

@@ -6,9 +6,9 @@ import pytest
 from atomlab.atom_action import (
     FiniteSet,
     GroupElement,
+    HFTuple,
     act_hf,
     leaf,
-    pair,
 )
 from atomlab.errors import UsageError
 from atomlab.fp_core import Vector, span_of, unit
@@ -23,6 +23,10 @@ from atomlab.verify import random_reduction_instance, support_oracle
 
 def e(i, p=2):
     return unit(p, i)
+
+
+def pair(x, y):
+    return HFTuple((x, y))
 
 
 def matching(p, delta, b1=None, b2=None):
