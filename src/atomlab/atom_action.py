@@ -5,7 +5,9 @@ vector.  A group element assigns a residue to every coordinate below a
 finite horizon and acts by (a, w) -> (a + sum_i w_i * g_i, w), so the
 vector component never moves and the cells U_w = {(a, w) : a} are
 permuted within themselves.  The action extends to hereditarily finite
-objects (atoms, finite sets, tuples) leafwise.
+objects (atoms, finite sets, tuples) leafwise.  A group element is stored
+as the sparse vector of its nonzero residues, so it costs those, not the
+horizon; only its text form is dense.
 
 HF objects may share subterms: a node can be the child of several
 nodes, or of one node twice, so an object is a DAG whose expanded tree
@@ -34,8 +36,8 @@ r, and a lift f -> g_f into K; no basis of K is formed.  ``orbit`` and
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InternalConsistencyError, UsageError
 from .fp_core import (
@@ -62,10 +64,6 @@ class Atom:
             raise UsageError(f"atom residue must be an int, got {kind}")
         object.__setattr__(self, "a", self.a % self.w.p)
 
-    @property
-    def p(self) -> int:
-        return self.w.p
-
     def to_text(self, zero: str = "") -> str:
         return f"({self.a}|{self.w.to_text(zero=zero)})"
 
@@ -90,48 +88,50 @@ atom = Atom  # lower-case shorthand
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A residue assignment to every coordinate below the horizon (dense)."""
+    """A residue at every coordinate below the horizon, stored as the sparse
+    vector of its nonzero residues; only ``coords`` and the text are dense."""
 
-    p: int
-    coords: tuple[int, ...]
+    vector: Vector
+    horizon: int
+    # coordinate -> residue, for act_atom's pairings; derived from vector
+    _residues: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_prime(self.p)
-        coords = self.coords
-        if coords and (min(coords) < 0 or max(coords) >= self.p):
-            raise UsageError("group element coordinates must be residues mod p")
+        check_horizon((self.vector,), self.horizon)
+        object.__setattr__(self, "_residues", dict(self.vector.entries))
 
     @property
-    def horizon(self) -> int:
-        return len(self.coords)
+    def p(self) -> int:
+        return self.vector.p
 
     @property
     def is_identity(self) -> bool:
-        return not any(self.coords)
+        return self.vector.is_zero
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """The dense residues, built on each read."""
+        return tuple(self._residues.get(i, 0) for i in range(self.horizon))
 
     @classmethod
-    def identity(cls, p: int, horizon: int) -> "GroupElement":
-        return cls(p, (0,) * horizon)
+    def from_coords(cls, p: int, coords: Sequence[int]) -> "GroupElement":
+        """The element with the dense residues ``coords``, horizon ``len(coords)``."""
+        if coords and (min(coords) < 0 or max(coords) >= p):
+            raise UsageError("group element coordinates must be residues mod p")
+        entries = tuple((i, c) for i, c in enumerate(coords) if c)
+        return cls(Vector(p, entries), len(coords))
 
-    @classmethod
-    def delta(cls, p: int, horizon: int, i: int, value: int = 1) -> "GroupElement":
-        """The element supported at the single coordinate ``i``."""
-        if not 0 <= i < horizon:
-            raise UsageError(f"coordinate {i} outside horizon {horizon}")
-        coords = [0] * horizon
-        coords[i] = value % p
-        return cls(p, tuple(coords))
-
-    @classmethod
-    def from_vector(cls, v: Vector, horizon: int) -> "GroupElement":
-        check_horizon((v,), horizon)
-        coords = [0] * horizon
-        for i, c in v.entries:
-            coords[i] = c
-        return cls(v.p, tuple(coords))
+    def __add__(self, other: "GroupElement") -> "GroupElement":
+        """Coordinatewise sum; acting by g + h equals acting by g then h."""
+        total = self.vector + other.vector  # raises on mixed moduli
+        if other.horizon != self.horizon:
+            raise UsageError(f"mixed horizons {self.horizon} and {other.horizon}")
+        return GroupElement(total, self.horizon)
 
     def to_text(self) -> str:
-        return ",".join(str(c) for c in self.coords)
+        return ",".join(map(str, self.coords))
+
+    __repr__ = to_text
 
     @classmethod
     def from_text(cls, text: str, p: int) -> "GroupElement":
@@ -140,32 +140,26 @@ class GroupElement:
         if not text:
             raise UsageError("empty group element text")
         try:
-            coords = tuple(int(c) % p for c in text.split(","))
+            coords = [int(c) % p for c in text.split(",")]
         except ValueError:
             raise UsageError(f"bad group element text {text!r}") from None
-        return cls(p, coords)
-
-    def __repr__(self):
-        return self.to_text()
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Coordinatewise sum; the action of the result equals acting by g then h."""
-    if g.p != h.p:
-        raise UsageError(f"mixed moduli {g.p} and {h.p}")
-    if g.horizon != h.horizon:
-        raise UsageError(f"mixed horizons {g.horizon} and {h.horizon}")
-    return GroupElement(g.p, tuple((a + b) % g.p for a, b in zip(g.coords, h.coords)))
+        return cls.from_coords(p, coords)
 
 
 def act_atom(x: Atom, g: GroupElement) -> Atom:
     """(a, w) -> (a + sum_i w_i * g_i, w).  Support beyond the horizon is an error."""
-    if g.p != x.p:
-        raise UsageError(f"mixed moduli {x.p} and {g.p}")
-    s = x.w.dot_dense(g.coords)
-    if s == 0:
-        return x
-    return Atom(x.a + s, x.w)
+    w, entries, residue = x.w, x.w.entries, g._residues
+    if g.vector.p != w.p:
+        raise UsageError(f"mixed moduli {w.p} and {g.p}")
+    # inline, not check_horizon and Vector.dot: those cost 4x per atom
+    if entries and entries[-1][0] >= g.horizon:
+        top = entries[-1][0]
+        raise UsageError(f"vector supported at {top} exceeds horizon {g.horizon}")
+    s = 0
+    for i, c in entries:
+        if i in residue:
+            s += c * residue[i]
+    return Atom(x.a + s, w) if s % w.p else x
 
 
 @dataclass(frozen=True)
@@ -201,14 +195,12 @@ class GroupSubspace:
         return cls(horizon, Subspace(p))
 
     def basis_elements(self) -> tuple[GroupElement, ...]:
-        return tuple(
-            GroupElement.from_vector(b, self.horizon) for b in self.space.basis
-        )
+        return tuple(GroupElement(b, self.horizon) for b in self.space.basis)
 
     def elements(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[GroupElement]:
         """All members in basis-combination order (identity first)."""
         for v in self.space.enumerate_elements(cap):
-            yield GroupElement.from_vector(v, self.horizon)
+            yield GroupElement(v, self.horizon)
 
     def index_over(self, sub: "GroupSubspace") -> int:
         """[self : sub]; requires sub to actually be contained in self."""
@@ -444,10 +436,8 @@ def _footprint_split(
     image = annihilator(Subspace(p, tuple(relations)), len(footprint))
 
     def lift(f: Vector) -> GroupElement:
-        coords = [0] * horizon
-        for pivot, tag in lifts:
-            coords[pivot] = tag.dot(f)
-        return GroupElement(p, tuple(coords))
+        entries = tuple((pivot, c) for pivot, tag in lifts if (c := tag.dot(f)))
+        return GroupElement(Vector(p, entries), horizon)
 
     return footprint, image, lift
 
@@ -540,12 +530,24 @@ def hf_to_json(x: HFObject):
     return _node(x)._json()
 
 
+# The deepest nesting ``hf_from_json`` reads: the recursive walks over an
+# object (the action, ``repr``, the JSON form) fail from about 190 levels.
+MAX_HF_DEPTH = 100
+
+
 def hf_from_json(obj, p: int) -> HFObject:
-    if isinstance(obj, dict) and len(obj) == 1:
-        ((kind, value),) = obj.items()
-        if kind == "atom" and isinstance(value, str):
-            return AtomLeaf(Atom.from_text(value, p))
-        if kind in ("set", "tuple") and isinstance(value, list):
-            members = (hf_from_json(m, p) for m in value)
-            return FiniteSet(members) if kind == "set" else HFTuple(members)
-    raise UsageError(f"bad HF JSON node: {obj!r}")
+    """The HF object of a JSON form at most ``MAX_HF_DEPTH`` levels deep."""
+
+    def node(obj, depth: int) -> HFObject:
+        if depth > MAX_HF_DEPTH:
+            raise UsageError(f"HF JSON nested deeper than {MAX_HF_DEPTH} levels")
+        if isinstance(obj, dict) and len(obj) == 1:
+            ((kind, value),) = obj.items()
+            if kind == "atom" and isinstance(value, str):
+                return AtomLeaf(Atom.from_text(value, p))
+            if kind in ("set", "tuple") and isinstance(value, list):
+                members = (node(m, depth + 1) for m in value)
+                return FiniteSet(members) if kind == "set" else HFTuple(members)
+        raise UsageError(f"bad HF JSON node: {obj!r}")
+
+    return node(obj, 0)

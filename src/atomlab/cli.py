@@ -86,7 +86,7 @@ def read_input(fields, fixture: str | None = None, path: str | None = None):
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(f"cannot read {path}: {exc}") from None
     try:
         return fields(data)
@@ -107,7 +107,7 @@ def parse_vector_set(text: str, p: int) -> list[Vector]:
 def parse_hf(text: str, p: int):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"bad HF JSON: {exc}") from None
     return hf_from_json(obj, p)
 
@@ -222,8 +222,9 @@ def cmd_density(args) -> int:
         csv.writer(buf).writerows(rows)
         emit(args, {"profile": rows[1:]}, buf.getvalue().rstrip("\n"))
         return 0
-    d = density_d_k(source, args.k)
-    emit(args, {"k": args.k, "d_k": d}, str(d))
+    k = 1 if args.k is None else args.k
+    d = density_d_k(source, k)
+    emit(args, {"k": k, "d_k": d}, str(d))
     return 0
 
 
@@ -429,9 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("density", cmd_density, "prefix density d_k", "--p")
     sp.add_argument("--vectors", default="", help="vectors, semicolon separated")
-    sp.add_argument("--k", type=int, default=1, help="prefix length")
+    # --k has no default: the group lets through a flag given its default value
+    route = sp.add_mutually_exclusive_group()
+    route.add_argument("--k", type=int, help="prefix length (default 1)")
     sp.add_argument("--span", action="store_true", help="use the span of the vectors")
-    sp.add_argument(
+    route.add_argument(
         "--profile", type=int, metavar="KMAX", help="emit CSV profile for k=1..KMAX"
     )
 

@@ -80,7 +80,7 @@ def level_swap(tower: PairTower, i: int) -> GroupElement:
     """The group element flipping exactly the cell at level i."""
     if not 0 <= i < tower.height:
         raise UsageError(f"level {i} outside tower of height {tower.height}")
-    return GroupElement.delta(TOWER_P, tower.height, i)
+    return GroupElement(unit(TOWER_P, i), tower.height)
 
 
 def swap_effect(tower: PairTower, i: int) -> list[tuple[int, bool]]:

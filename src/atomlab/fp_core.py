@@ -160,7 +160,8 @@ class Vector:
         return sum(v * coeffs.get(i, 0) for i, v in self.entries) % self.p
 
     def dot_dense(self, coords: Sequence[int]) -> int:
-        """Pairing with a dense coordinate tuple; entries beyond it are rejected."""
+        """Pairing with a dense coordinate tuple; entries beyond it are rejected.
+        The raw route of the oracles, apart from ``act_atom``'s sparse one."""
         if self.max_index >= len(coords):
             raise UsageError(
                 f"vector supported at {self.max_index} exceeds horizon {len(coords)}"

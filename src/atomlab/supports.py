@@ -174,12 +174,12 @@ def _reduce_step(
     # h is the first element of stab_x, in enumeration order, that does not
     # fix at both b1 and b2.  That is the last basis element that does not:
     # every element enumerated before it combines only later basis
-    # elements, and those all fix at b1 and b2.  Only h is made dense.
+    # elements, and those all fix at b1 and b2.
     for v in reversed(stab_x.space.basis):
         m, n = b1.dot(v), b2.dot(v)
         if (m, n) != (0, 0):
             break
-    h = GroupElement.from_vector(v, horizon)
+    h = GroupElement(v, horizon)
     if m == 0:
         b = b1
     elif n == 0:

@@ -32,7 +32,6 @@ from .atom_action import (
     act_hf,
     atom,
     atoms_of,
-    compose,
     from_kuratowski,
     hf_to_json,
     orbit,
@@ -154,7 +153,7 @@ def support_oracle(
     by raw dot products) must fix x.  No stabilizer machinery involved."""
     for coords in itertools.product(range(p), repeat=horizon):
         if all(w.dot_dense(coords) == 0 for w in vectors):
-            if act_hf(x, GroupElement(p, coords)) != x:
+            if act_hf(x, GroupElement.from_coords(p, coords)) != x:
                 return False
     return True
 
@@ -199,7 +198,7 @@ def group_oracle(
     images, fixers = set(), set()
     for coords in itertools.product(range(p), repeat=horizon):
         if all(s.dot_dense(coords) == 0 for s in fixed.basis):
-            y = act_hf(x, GroupElement(p, coords))
+            y = act_hf(x, GroupElement.from_coords(p, coords))
             images.add(y)
             if y == x:
                 fixers.add(coords)
@@ -278,28 +277,22 @@ def suite_action_laws(cfg: VerifyConfig) -> list[Check]:
 
     for p in (2, 3):
         group = list(GroupSubspace.full(p, horizon).elements())
-        table = {
-            (g.coords, h.coords): compose(g, h) for g in group for h in group
-        }
-        comm_ok = all(
-            table[(g.coords, h.coords)] == table[(h.coords, g.coords)]
-            for g in group
-            for h in group
-        )
+        table = {(g, h): g + h for g in group for h in group}
+        comm_ok = all(table[(g, h)] == table[(h, g)] for g in group for h in group)
         checks.append(Check(f"compose-commutative-p{p}", comm_ok))
 
-        ident = GroupElement.identity(p, horizon)
+        ident = GroupElement(Vector(p), horizon)
         objs = [random_hf(rng, p, horizon, 3) for _ in range(_n(cfg, 260))]
         id_ok = all(act_hf(x, ident) == x for x in objs)
         checks.append(Check(f"identity-law-p{p}", id_ok, f"{len(objs)} objects"))
 
         law_ok = True
         for x in objs:
-            acted = {g.coords: act_hf(x, g) for g in group}
+            acted = {g: act_hf(x, g) for g in group}
             for g in group:
-                xg = acted[g.coords]
+                xg = acted[g]
                 for h in group:
-                    if act_hf(xg, h) != acted[table[(g.coords, h.coords)].coords]:
+                    if act_hf(xg, h) != acted[table[(g, h)]]:
                         law_ok = False
         checks.append(
             Check(
@@ -320,9 +313,9 @@ def suite_action_laws(cfg: VerifyConfig) -> list[Check]:
     ok = True
     for p in (2, 3, 5):
         for g in GroupSubspace.full(p, horizon).elements():
-            acc = GroupElement.identity(p, horizon)
+            acc = GroupElement(Vector(p), horizon)
             for k in range(1, p + 1):
-                acc = compose(acc, g)
+                acc = acc + g
                 if k < p and not g.is_identity and acc.is_identity:
                     ok = False
             if not acc.is_identity:
@@ -335,7 +328,7 @@ def suite_action_laws(cfg: VerifyConfig) -> list[Check]:
     for p in (2, 3):
         for _ in range(_n(cfg, 20)):
             x = random_dag(rng, p, horizon, 5)
-            g = GroupElement(p, tuple(rng.randrange(p) for _ in range(horizon)))
+            g = GroupElement.from_coords(p, [rng.randrange(p) for _ in range(horizon)])
             if hf_to_json(act_hf(x, g)) != hf_to_json(tree_act(x, g)):
                 ok = False
             if set(atoms_of(x)) != set(tree_atoms(x)):
@@ -674,7 +667,7 @@ def suite_tower_refutation(cfg: VerifyConfig) -> list[Check]:
         for j in range(6):
             gi, gj = level_swap(tower, i), level_swap(tower, j)
             for level in tower.levels:
-                if act_hf(act_hf(level, gi), gj) != act_hf(level, compose(gi, gj)):
+                if act_hf(act_hf(level, gi), gj) != act_hf(level, gi + gj):
                     ok = False
     checks.append(Check("swap-composition-consistency", ok))
 
@@ -704,9 +697,7 @@ def suite_encoding(cfg: VerifyConfig) -> list[Check]:
         t = HFTuple(
             (random_hf(rng, p, horizon, 2), random_hf(rng, p, horizon, 2))
         )
-        g = GroupElement(
-            p, tuple(rng.randrange(p) for _ in range(horizon))
-        )
+        g = GroupElement.from_coords(p, [rng.randrange(p) for _ in range(horizon)])
         enc = to_kuratowski(t)
         if from_kuratowski(enc) != t:
             ok = False

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,6 @@ from atomlab.atom_action import (
     act_atom,
     act_hf,
     atom,
-    compose,
     fixed_by,
     from_kuratowski,
     hf_from_json,
@@ -43,21 +43,21 @@ def full_group(p, horizon):
 
 class TestActAtom:
     def test_formula(self):
-        g = GroupElement(2, (1, 0))
+        g = GroupElement.from_coords(2, (1, 0))
         assert act_atom(atom(0, e(0)), g) == atom(1, e(0))
 
     def test_zero_cell_fixed_by_everything(self):
         for coords in itertools.product(range(2), repeat=3):
-            g = GroupElement(2, coords)
+            g = GroupElement.from_coords(2, coords)
             a = atom(1, Vector(2))
             assert act_atom(a, g) == a
 
     def test_formula_mod_three(self):
-        g = GroupElement(3, (0, 2))
+        g = GroupElement.from_coords(3, (0, 2))
         assert act_atom(atom(1, e(1, 3).scale(2)), g) == atom(2, e(1, 3).scale(2))
 
     def test_horizon_exceeded_is_an_error(self):
-        g = GroupElement(2, (1,))
+        g = GroupElement.from_coords(2, (1,))
         with pytest.raises(UsageError):
             act_atom(atom(0, e(3)), g)
 
@@ -65,31 +65,31 @@ class TestActAtom:
 class TestCompose:
     def test_involutions_mod_two(self):
         for g in full_group(2, 3):
-            assert compose(g, g).is_identity
+            assert (g + g).is_identity
 
     def test_identity_neutral(self):
-        g = GroupElement(3, (1, 2, 0))
-        assert compose(g, GroupElement.identity(3, 3)) == g
+        g = GroupElement.from_coords(3, (1, 2, 0))
+        assert g + GroupElement(Vector(3), 3) == g
 
     def test_order_three(self):
-        g = GroupElement(3, (1, 0))
-        assert compose(compose(g, g), g).is_identity
+        g = GroupElement.from_coords(3, (1, 0))
+        assert (g + g + g).is_identity
 
     def test_order_p_exhaustive(self):
         for p in (2, 3, 5):
             for g in full_group(p, 3):
-                acc = GroupElement.identity(p, 3)
+                acc = GroupElement(Vector(p), 3)
                 for k in range(1, p + 1):
-                    acc = compose(acc, g)
+                    acc = acc + g
                     if not g.is_identity and k < p:
                         assert not acc.is_identity
                 assert acc.is_identity
 
     def test_mismatches(self):
-        with pytest.raises(UsageError):
-            compose(GroupElement(2, (1,)), GroupElement(2, (1, 0)))
-        with pytest.raises(UsageError):
-            compose(GroupElement(2, (1,)), GroupElement(3, (1,)))
+        with pytest.raises(UsageError, match="mixed horizons 1 and 2"):
+            GroupElement.from_coords(2, (1,)) + GroupElement.from_coords(2, (1, 0))
+        with pytest.raises(UsageError, match="mixed moduli 2 and 3"):
+            GroupElement.from_coords(2, (1,)) + GroupElement.from_coords(3, (1,))
 
 
 class TestPointwiseStabilizer:
@@ -123,12 +123,12 @@ class TestActHF:
             assert act_hf(cell, g) == cell
 
     def test_leaf_matches_act_atom(self):
-        g = GroupElement(3, (2, 1))
+        g = GroupElement.from_coords(3, (2, 1))
         a = atom(1, e(0, 3))
         assert act_hf(AtomLeaf(a), g) == AtomLeaf(act_atom(a, g))
 
     def test_tuple_componentwise(self):
-        g = GroupElement(2, (1, 0))
+        g = GroupElement.from_coords(2, (1, 0))
         t = pair(leaf(0, e(0)), leaf(0, e(1)))
         assert act_hf(t, g) == pair(leaf(1, e(0)), leaf(0, e(1)))
 
@@ -177,7 +177,7 @@ class TestOrbitStabilizer:
         fixers = [
             coords
             for coords in itertools.product(range(2), repeat=2)
-            if act_hf(matching, GroupElement(2, coords)) == matching
+            if act_hf(matching, GroupElement.from_coords(2, coords)) == matching
         ]
         assert sorted(fixers) == [(0, 0), (1, 1)]
         full = GroupSubspace.full(2, 2)
@@ -212,6 +212,20 @@ class TestOrbitStabilizer:
         assert stabilizer_in(x, full).dimension == horizon - 2
         assert is_support([e(0), e(horizon - 1)], x, horizon, 2)
         assert not is_support([e(horizon - 1)], x, horizon, 2)
+        # nor does any group element they build hold one residue per
+        # coordinate: at a horizon of 10^7 that would be 80 MB a lift
+        horizon = 10**7
+        x = pair(leaf(0, e(0)), leaf(0, e(horizon - 1)))
+        full = GroupSubspace.full(2, horizon)
+        tracemalloc.start()
+        try:
+            assert len(orbit(x, full)) == 4
+            assert stabilizer_in(x, full).dimension == horizon - 2
+            assert is_support([e(0), e(horizon - 1)], x, horizon, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_fixed_by_acts_at_most_footprint_rank_times(self, monkeypatch):
         import atomlab.atom_action as atom_action
@@ -260,7 +274,7 @@ class TestActionLaws:
         for p in (2, 3):
             for horizon in (1, 2):
                 group = full_group(p, horizon)
-                ident = GroupElement.identity(p, horizon)
+                ident = GroupElement(Vector(p), horizon)
                 for _ in range(20):
                     x = pair(
                         leaf(rng.randrange(p), e(rng.randrange(horizon), p)),
@@ -271,9 +285,7 @@ class TestActionLaws:
                     assert act_hf(x, ident) == x
                     for g in group:
                         for h in group:
-                            assert act_hf(act_hf(x, g), h) == act_hf(
-                                x, compose(g, h)
-                            )
+                            assert act_hf(act_hf(x, g), h) == act_hf(x, g + h)
                             assert act_hf(act_hf(x, g), h) == act_hf(
                                 act_hf(x, h), g
                             )
@@ -297,7 +309,7 @@ class TestKuratowski:
     def test_equivariance(self):
         t = pair(leaf(0, e(0)), FiniteSet([leaf(1, e(1))]))
         for coords in itertools.product(range(2), repeat=2):
-            g = GroupElement(2, coords)
+            g = GroupElement.from_coords(2, coords)
             assert to_kuratowski(act_hf(t, g)) == act_hf(to_kuratowski(t), g)
 
 
@@ -309,15 +321,15 @@ class TestSerialization:
         assert Atom.from_text("(1|)", 2) == atom(1, Vector(2))
 
     def test_group_element_text(self):
-        g = GroupElement(3, (1, 0, 2))
+        g = GroupElement.from_coords(3, (1, 0, 2))
         assert g.to_text() == "1,0,2"
         assert GroupElement.from_text("1,0,2", 3) == g
 
     def test_group_element_coordinates_must_be_residues(self):
-        assert GroupElement(2, ()).horizon == 0
+        assert GroupElement.from_coords(2, ()).horizon == 0
         for p, coords in ((2, (0, 2)), (3, (-1, 0)), (5, (5,))):
             with pytest.raises(UsageError, match="residues mod p"):
-                GroupElement(p, coords)
+                GroupElement.from_coords(p, coords)
 
     def test_hf_json_round_trip(self):
         x = FiniteSet(

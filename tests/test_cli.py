@@ -2,12 +2,18 @@ import json
 
 import pytest
 
+from atomlab.atom_action import MAX_HF_DEPTH
 from atomlab.cli import load_fixture, main
 
 MATCHING = (
     '{"set":[{"tuple":[{"atom":"(0|0:1)"},{"atom":"(0|1:1)"}]},'
     '{"tuple":[{"atom":"(1|0:1)"},{"atom":"(1|1:1)"}]}]}'
 )
+
+
+def nested(levels):
+    """HF JSON of one atom inside ``levels`` nested sets."""
+    return '{"set":[' * levels + '{"atom":"(0|0:1)"}' + "]}" * levels
 
 
 def run(capsys, *argv):
@@ -220,10 +226,26 @@ def test_cap_and_window_exhaustion_exit_three(capsys):
 
 
 def test_orbit_at_horizon_thirty(capsys):
-    # 2^30 group elements, of which only the pairing with 0:1 matters
-    code, out, _ = run(capsys, "orbit", "--x", '{"atom":"(0|0:1)"}', "--horizon", "30")
-    assert code == 0
-    assert out.splitlines()[0] == "orbit size 2"
+    # 2^30 group elements, of which only the pairing with 0:1 matters; at a
+    # horizon of 10^9 each lift still has one nonzero residue
+    x = '{"atom":"(0|0:1)"}'
+    for argv, first_line in (
+        (["orbit", "--x", x, "--horizon", "30"], "orbit size 2"),
+        (["orbit", "--x", x, "--horizon", "1000000000"], "orbit size 2"),
+        (["support-check", "--a", "0:1", "--x", x, "--horizon", "1000000000"], "true"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()[0]) == (0, first_line), argv
+
+
+def test_hf_json_at_the_nesting_bound(capsys):
+    code, out, _ = run(capsys, "act", "--g", "1,0", "--x", nested(MAX_HF_DEPTH))
+    want = "{" * MAX_HF_DEPTH + "(1|0:1)" + "}" * MAX_HF_DEPTH
+    assert (code, out.strip()) == (0, want)
+    code, out, _ = run(capsys, "orbit", "--json", "--x", nested(MAX_HF_DEPTH))
+    assert (code, json.loads(out)["size"]) == (0, 2)
+    code, _, err = run(capsys, "act", "--g", "1,0", "--x", nested(MAX_HF_DEPTH + 1))
+    assert code == 2 and f"nested deeper than {MAX_HF_DEPTH} levels" in err
 
 
 def test_unread_flags_rejected(capsys):
@@ -326,6 +348,11 @@ def test_logstar_past_a_huge_tower(capsys):
         # once printed a density of 0 for a modulus of 4
         (["density", "--p", "4", "--vectors", ""],
          "modulus must be a prime integer, got 4"),
+        # each of these once raised RecursionError: the first in the HF
+        # reader, the other two in the JSON parser
+        (["act", "--g", "1,0", "--x", nested(250)], "nested deeper than 100 levels"),
+        (["act", "--g", "1,0", "--x", nested(600)], "bad HF JSON"),
+        (["reduce-support", "--input", "instance_deep.json"], "cannot read"),
     ],
     ids=["missing-file", "truncated-json", "atom-not-text", "set-not-list",
          "reduce-support-missing-keys", "extract-thin-missing-keys",
@@ -334,7 +361,8 @@ def test_logstar_past_a_huge_tower(capsys):
          "certify-window-and-bound-bool", "reduce-support-p-and-horizon-float",
          "support-check-exhaustive-beyond-horizon", "act-p-zero", "orbit-p-zero",
          "reduce-support-p-zero", "extract-thin-p-zero", "refute-pcf-wrong-fixture",
-         "modulus-beyond-exact-primality", "density-empty-set-non-prime"],
+         "modulus-beyond-exact-primality", "density-empty-set-non-prime",
+         "act-nested-250", "act-nested-600", "reduce-support-nested-600"],
 )  # fmt: skip
 def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
     stream = {"kind": "extracted-stream", "p": 2, "window": 64,
@@ -354,6 +382,9 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
         },
         "instance_p_zero.json": {**load_fixture("matching-p2"), "p": 0},
         "stream_p_zero.json": {**load_fixture("stream-canonical-p2"), "p": 0},
+        # written as text: the JSON module cannot build or print it
+        "instance_deep.json": json.dumps({**load_fixture("matching-p2"), "x": 0})
+        .replace('"x": 0', '"x": ' + nested(600)),
     }
     for name, content in inputs.items():
         text = content if isinstance(content, str) else json.dumps(content)
@@ -377,11 +408,14 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
         ["tower", "--levels", "3", "--cap-tower", "-1"],
         ["extract-thin", "--count", "2", "--window", "-3"],
         ["orbit", "--x", '{"atom":"(0|0:1)"}', "--horizon", "-2"],
+        ["density", "--vectors", "0:1", "--profile", "3", "--k", "2"],
+        ["density", "--vectors", "0:1", "--k", "1", "--profile", "3"],
     ],
     ids=["refute-fixture-levels", "refute-fixture-s", "extract-input-no-file",
          "extract-canonical-fixture", "extract-fixture-input",
          "orbit-cap-negative", "stabilizer-cap-zero", "tower-cap-negative",
-         "extract-window-negative", "orbit-horizon-negative"],
+         "extract-window-negative", "orbit-horizon-negative",
+         "density-profile-k", "density-default-k-profile"],
 )  # fmt: skip
 def test_flags_the_route_ignores_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)

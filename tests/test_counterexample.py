@@ -19,7 +19,7 @@ from atomlab.counterexample import (
     swap_effect,
 )
 from atomlab.errors import InternalConsistencyError, ResourceError, UsageError
-from atomlab.fp_core import unit
+from atomlab.fp_core import Vector, unit
 from atomlab.supports import is_support
 
 
@@ -77,7 +77,7 @@ class TestSwapEffect:
 
     def test_identity_swaps_nothing(self):
         tower = build_tower(3)
-        ident = GroupElement.identity(2, 3)
+        ident = GroupElement(Vector(2), 3)
         for n in range(3):
             u, v = tower.level_pair(n)
             assert act_hf(u, ident) is u and act_hf(v, ident) is v
@@ -114,16 +114,12 @@ class TestSwapEffect:
         assert firsts[0] is firsts[1]
 
     def test_composition_consistency(self):
-        from atomlab.atom_action import compose
-
         tower = build_tower(5)
         for i in range(5):
             for j in range(5):
                 gi, gj = level_swap(tower, i), level_swap(tower, j)
                 for level in tower.levels:
-                    assert act_hf(act_hf(level, gi), gj) == act_hf(
-                        level, compose(gi, gj)
-                    )
+                    assert act_hf(act_hf(level, gi), gj) == act_hf(level, gi + gj)
 
 
 class TestRefutePCF:
@@ -177,7 +173,7 @@ class TestRefutePCF:
                     report = refute_pcf(tower, s)
                     i = min(set(levels) - set(s))
                     assert report.swap_level == i
-                    assert report.g == GroupElement.delta(2, height, i)
+                    assert report.g == GroupElement(e(i), height)
                     options = [
                         ([None] if n < i else []) + sorted(level, key=sort_key)
                         for n, level in enumerate(tower.levels)

@@ -58,7 +58,7 @@ class TestIsSupport:
         x = matching(2, 0)
         for coords in itertools.product(range(2), repeat=2):
             if (coords[0] + coords[1]) % 2 == 0:  # fixes at e0+e1
-                assert act_hf(x, GroupElement(2, coords)) == x
+                assert act_hf(x, GroupElement.from_coords(2, coords)) == x
         assert is_support([e(0) + e(1)], x, 2, 2, exhaustive=True)
 
     def test_atom_not_supported_by_empty_set(self):
@@ -113,7 +113,7 @@ class TestReduceStep:
         )
         assert b == e(0) + e(1)
         assert b_new == [e(0) + e(1)]
-        assert step.h == GroupElement(2, (1, 1))
+        assert step.h == GroupElement.from_coords(2, (1, 1))
         assert (step.m, step.n) == (1, 1)
         assert not step.shortcut
         # oracle: the result must survive full stabilizer enumeration
@@ -126,7 +126,7 @@ class TestReduceStep:
             x, matching_orbit(p), (), [e(0, p), e(1, p)], 2, p
         )
         assert b == e(0, p) + e(1, p).scale(2)
-        assert step.h == GroupElement(3, (1, 1))
+        assert step.h == GroupElement.from_coords(3, (1, 1))
         assert (step.m, step.n) == (1, 1)
         # h fixes at b: 1*1 + 2*1 = 0 mod 3
         assert b.dot_dense(step.h.coords) == 0
