@@ -24,20 +24,21 @@ every s in S}, and a ``GroupSubspace`` stores only the echelon span of
 S: sizes and indices are rank arithmetic, and the subgroup's own basis
 is built (by ``fp_core.annihilator``) only where it is listed.
 
-An element g moves an object x only through the pairings <w, g> over
-the atom vectors w of x, so ``_footprint_split`` splits K = Ann(S) under
-phi: g -> (<w, g>)_w, w over a basis of x's footprint, into the kernel,
-which fixes x, the image phi(K), of dimension at most the footprint rank
-r, and a lift f -> g_f into K; no basis of K is formed.  ``orbit`` and
-``stabilizer_in`` enumerate the image (the cap bounds its size, not
-|K|), and ``fixed_by`` acts by the lifts of its basis only, r at most.
+An element k of K = Ann(S) pairs with an atom vector of x as with its
+residue modulo S, so it moves x only through its pairings with w_1..w_r,
+the echelon basis of those residues; r is the footprint rank modulo S.
+``_footprint_split`` returns that basis and the span C of one element of
+K per w_j, pairing to 1 with it and to 0 with the others: a complement,
+of dimension r, of the kernel that fixes x, read off S without forming a
+basis of K.  ``orbit`` and ``stabilizer_in`` enumerate C (the cap bounds
+p^r, not |K|), and ``fixed_by`` acts by C's basis only, r at most.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalConsistencyError, UsageError
 from .fp_core import (
@@ -407,60 +408,55 @@ def act_hf(x: HFObject, g: GroupElement) -> HFObject:
 
 def _footprint_split(
     x: HFObject, subgroup: GroupSubspace
-) -> tuple[tuple[Vector, ...], Subspace, Callable[[Vector], GroupElement]]:
-    """Split K = Ann(S) under phi: k -> (<w_j, k>)_j, w_1..w_r the echelon
-    basis of x's footprint.  Returns that basis, the image phi(K) and the
-    lift f -> g_f: the g_f lie in K, realize f and span a complement of
-    ker phi, which fixes x.
+) -> tuple[tuple[Vector, ...], Subspace]:
+    """Split K = Ann(S) by x's footprint modulo S.  Returns the echelon
+    basis w_1..w_r of x's atom vectors reduced modulo S, and the span C of
+    g_j = e_q - sum_{s in S} s_q e_pivot(s), q the pivot of w_j.
 
-    One echelon pass over the rows (s | 0), s in S, and (w_j | e_j), the
-    tag e_j placed past the horizon.  Rows (0 | t) give the relations R,
-    sum_j t_j w_j in S, and phi(K) is the orthogonal complement of R.
-    Every other row (v | tau) has its pivot below the horizon, and
-    g_f = sum (tau . f) e_pivot pairs to tau . f with each row: it lies
-    in K and realizes f."""
-    p, horizon = subgroup.p, subgroup.horizon
-    footprint = span_of({a.w for a in atoms_of(x)}, p).basis
-    check_horizon(footprint, horizon)
-    tagged = (
-        Vector(p, w.entries + ((horizon + j, 1),)) for j, w in enumerate(footprint)
-    )
-    relations, lifts = [], []
-    for row in span_of((*subgroup.fixed.basis, *tagged), p).basis:
-        tail = tuple((i - horizon, c) for i, c in row.entries if i >= horizon)
-        tag = Vector(p, tail)
-        if row.lead_index >= horizon:
-            relations.append(tag)
-        else:
-            lifts.append((row.lead_index, tag))
-    image = annihilator(Subspace(p, tuple(relations)), len(footprint))
-
-    def lift(f: Vector) -> GroupElement:
-        entries = tuple((pivot, c) for pivot, tag in lifts if (c := tag.dot(f)))
-        return GroupElement(Vector(p, entries), horizon)
-
-    return footprint, image, lift
+    An element of K pairs with an atom vector as with its residue, a
+    combination of the w's, so it moves x only through (<w_j, k>)_j, and
+    the kernel of that map fixes x.  Each g_j pairs to 0 with every s, so
+    lies in K, and to 1 with w_j and 0 with every other w, since the w's
+    vanish at each other's pivots and at those of S: C is a complement of
+    the kernel in K, of dimension r."""
+    p, horizon, fixed = subgroup.p, subgroup.horizon, subgroup.fixed
+    vectors = {a.w for a in atoms_of(x)}
+    footprint = span_of((fixed.reduce(w) for w in vectors), p).basis
+    check_horizon(vectors, horizon)
+    lifts = []
+    for w in footprint:
+        q = w.lead_index
+        tail = tuple((s.lead_index, -c % p) for s in fixed.basis if (c := s.coeff(q)))
+        lifts.append(Vector(p, (*tail, (q, 1))))  # S's pivots lie below q
+    return footprint, span_of(lifts, p)
 
 
 def orbit(
     x: HFObject, subgroup: GroupSubspace, cap: int = DEFAULT_ENUM_CAP
 ) -> frozenset[HFObject]:
-    """{x.g : g in the subgroup}, by enumerating a complement of the
-    footprint kernel (the cap bounds its size, not the subgroup's)."""
-    _, image, lift = _footprint_split(x, subgroup)
-    return frozenset(act_hf(x, lift(f)) for f in image.enumerate_elements(cap))
+    """{x.g : g in the subgroup}, by enumerating the complement of the
+    footprint kernel (the cap bounds its size, p^r, not the subgroup's)."""
+    _, complement = _footprint_split(x, subgroup)
+    return frozenset(
+        act_hf(x, GroupElement(c, subgroup.horizon))
+        for c in complement.enumerate_elements(cap)
+    )
 
 
 def stabilizer_in(
     x: HFObject, subgroup: GroupSubspace, cap: int = DEFAULT_ENUM_CAP
 ) -> GroupSubspace:
     """{g in Ann(S) : x.g = x} = Ann(S + T).  x.g depends only on the
-    pairings f = phi(g), so the stabilizer is phi^-1(F), F the pairings of
-    the fixers in the complement, and T = {sum_j t_j w_j : t orthogonal
-    to F}."""
+    pairings f = (<w_j, g>)_j, and the complement realizes each f once, so
+    the stabilizer is the g whose f lies in F, the pairings of the fixers
+    in the complement, and T = {sum_j t_j w_j : t orthogonal to F}."""
     p = subgroup.p
-    footprint, image, lift = _footprint_split(x, subgroup)
-    fixing = [f for f in image.enumerate_elements(cap) if act_hf(x, lift(f)) == x]
+    footprint, complement = _footprint_split(x, subgroup)
+    fixing = [
+        Vector.from_dict(p, {j: w.dot(c) for j, w in enumerate(footprint)})
+        for c in complement.enumerate_elements(cap)
+        if act_hf(x, GroupElement(c, subgroup.horizon)) == x
+    ]
     kept = span_of(fixing, p)
     # fixing is preserved under composition, so the fixers in the
     # complement must form a subspace of it
@@ -477,11 +473,13 @@ def stabilizer_in(
 
 
 def fixed_by(x: HFObject, subgroup: GroupSubspace) -> bool:
-    """True iff every element of the subgroup fixes x.  The kernel fixes x
-    and the fixers form a subgroup, so the lifts of a basis of the image
-    decide it: at most footprint-rank actions, and no cap."""
-    _, image, lift = _footprint_split(x, subgroup)
-    return all(act_hf(x, lift(f)) == x for f in image.basis)
+    """True iff every element of the subgroup fixes x.  The footprint
+    kernel fixes x and the fixers form a subgroup, so the basis of its
+    complement decides it: at most footprint-rank actions, and no cap."""
+    _, complement = _footprint_split(x, subgroup)
+    return all(
+        act_hf(x, GroupElement(c, subgroup.horizon)) == x for c in complement.basis
+    )
 
 
 # ---------------------------------------------------------------------------

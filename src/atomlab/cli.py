@@ -152,12 +152,30 @@ def cmd_orbit(args) -> int:
     return 0
 
 
+def check_listing(rows: int, length: int, cap: int, what: str) -> None:
+    """The cap on a dense listing of ``rows`` vectors of ``length``
+    coordinates, checked before any of them is built."""
+    if rows * length > cap:
+        raise ResourceError(
+            f"listing {rows} x {length} coordinates ({what}) exceeds cap {cap}"
+        )
+
+
 def cmd_stabilizer(args) -> int:
     x = parse_hf(args.x, args.p)
     sub = stabilizer_in(x, _subgroup(args), cap=args.cap_enum)
+    check_listing(sub.dimension, sub.horizon, args.cap_enum, "stabilizer basis")
+    size = sub.size
+    try:
+        size_text = str(size)
+    except ValueError:  # more digits than int-to-text conversion allows
+        raise ResourceError(
+            f"stabilizer size {sub.p}^{sub.dimension} has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     basis = [g.to_text() for g in sub.basis_elements()]
-    payload = {"dimension": sub.dimension, "size": sub.size, "basis": basis}
-    text = f"stabilizer dimension {sub.dimension} size {sub.size}\nbasis: " + (
+    payload = {"dimension": sub.dimension, "size": size, "basis": basis}
+    text = f"stabilizer dimension {sub.dimension} size {size_text}\nbasis: " + (
         " ".join(basis) if basis else "(trivial)"
     )
     emit(args, payload, text)
@@ -167,8 +185,9 @@ def cmd_stabilizer(args) -> int:
 def cmd_support_check(args) -> int:
     vectors = parse_vector_set(args.a, args.p)
     x = parse_hf(args.x, args.p)
+    cap = DEFAULT_ENUM_CAP if args.cap_enum is None else args.cap_enum
     ok = is_support(
-        vectors, x, args.horizon, args.p, exhaustive=args.exhaustive, cap=args.cap_enum
+        vectors, x, args.horizon, args.p, exhaustive=args.exhaustive, cap=cap
     )
     emit(args, {"supports": ok}, "true" if ok else "false")
     return 0 if ok else 1
@@ -193,6 +212,8 @@ def cmd_reduce_support(args) -> int:
     result, trace = find_small_support(
         x, orbit_set, base, supp, horizon, p, cap=args.cap_enum
     )
+    witnesses = sum(not step.shortcut for step in trace.steps)
+    check_listing(witnesses, horizon, args.cap_enum, "reduction witnesses h")
     support_texts = sorted(v.to_text() for v in result)
     lines = []
     for k, step in enumerate(trace.steps):
@@ -411,7 +432,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="HF object JSON")
     sp.add_argument("--stab-of", default="", help="restrict to this pointwise stabilizer")
 
-    sp = command("support-check", cmd_support_check, "does A support x?", *group_flags)
+    sp = command(
+        "support-check",
+        cmd_support_check,
+        "does A support x?",
+        "--p",
+        "--horizon",
+        rules=(
+            (
+                lambda a: a.cap_enum is not None and not a.exhaustive,
+                "--cap-enum needs --exhaustive",
+            ),
+        ),
+    )
+    # --cap-enum has no default, so that a given cap without --exhaustive,
+    # the only route that reads it, can be told apart and rejected
+    sp.add_argument(
+        "--cap-enum",
+        type=positive_int,
+        help=f"enumeration size cap for --exhaustive (default {DEFAULT_ENUM_CAP})",
+    )
     sp.add_argument("--a", default="", help="vectors, semicolon separated")
     sp.add_argument("--x", required=True, help="HF object JSON")
     sp.add_argument(

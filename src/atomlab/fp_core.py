@@ -331,24 +331,57 @@ def span_of(gens: Iterable[Vector], p: int | None = None) -> Subspace:
     return Subspace(p, tuple(rows))
 
 
-def annihilator(s: Subspace, n: int) -> Subspace:
-    """Ann(s) = {v in F_p^n : sum_i v_i t_i = 0 for every t in s}, as its
-    reduced echelon basis.  An echelon pass on the reversed coordinates
-    gives s rows t whose pivot is their greatest coordinate; then for each
-    other coordinate f, e_f - sum_t t_f e_pivot(t) has least coordinate f,
-    so these n - dim s vectors are already reduced echelon."""
-    p = s.p
+def _right_echelon(s: Subspace) -> tuple[Vector, ...]:
+    """The echelon basis of s whose pivots are the greatest coordinates of
+    their rows (pivot coefficient 1, no pivot in another row), pivots
+    ascending: an echelon pass on the reversed coordinates."""
+    p, n = s.p, 1 + max((t.max_index for t in s.basis), default=-1)
 
     def flip(t: Vector) -> Vector:  # coordinate i moved to n - 1 - i
         return Vector(p, tuple((n - 1 - i, c) for i, c in reversed(t.entries)))
 
-    rows = [flip(t) for t in span_of(map(flip, s.basis), p).basis]
+    return tuple(flip(t) for t in reversed(span_of(map(flip, s.basis), p).basis))
+
+
+def annihilator(s: Subspace, n: int) -> Subspace:
+    """Ann(s) = {v in F_p^n : sum_i v_i t_i = 0 for every t in s}, as its
+    reduced echelon basis.  Over the rows t of ``_right_echelon(s)``, for
+    each other coordinate f, e_f - sum_t t_f e_pivot(t) has least
+    coordinate f, so these n - dim s vectors are already reduced echelon."""
+    check_horizon(s.basis, n)
+    p = s.p
     tails: dict[int, list] = {f: [] for f in range(n)}
-    for t in reversed(rows):  # ascending pivots: each tail comes out sorted
+    for t in _right_echelon(s):  # ascending pivots: each tail comes out sorted
         del tails[t.max_index]
         for f, c in t.entries[:-1]:
             tails[f].append((t.max_index, -c % p))
     return Subspace(p, tuple(Vector(p, ((f, 1), *tail)) for f, tail in tails.items()))
+
+
+def last_annihilator_vector(
+    s: Subspace, vectors: Sequence[Vector]
+) -> tuple[Vector, tuple[int, ...]] | None:
+    """The last vector of ``annihilator(s, n).basis`` that pairs nonzero
+    with one of ``vectors``, and its pairings with them, for any n above
+    the coordinates of s and of the vectors; None when every vector lies
+    in s.  Built alone, at the cost of s and the vectors, not of n: the
+    basis vector at a free coordinate f, e_f - sum_t t_f e_pivot(t) over
+    the rows t of ``_right_echelon(s)``, pairs with b as b reduced by
+    those rows reads at f, so f is the greatest coordinate of a residue."""
+    p, rows = s.p, _right_echelon(s)
+
+    def residue(b: Vector) -> Vector:
+        for t in rows:
+            if c := b.coeff(t.max_index):
+                b = b - t.scale(c)
+        return b
+
+    residues = [residue(b) for b in vectors]
+    f = max((r.max_index for r in residues), default=-1)
+    if f < 0:
+        return None
+    tail = tuple((t.max_index, -c % p) for t in rows if (c := t.coeff(f)))
+    return Vector(p, ((f, 1), *tail)), tuple(r.coeff(f) for r in residues)
 
 
 def complement_within(s: Subspace, horizon: int) -> Subspace:

@@ -28,7 +28,14 @@ from .atom_action import (
     stabilizer_in,
 )
 from .errors import InternalConsistencyError, UsageError
-from .fp_core import DEFAULT_ENUM_CAP, Vector, _insert_echelon, check_horizon, span_of
+from .fp_core import (
+    DEFAULT_ENUM_CAP,
+    Vector,
+    _insert_echelon,
+    check_horizon,
+    last_annihilator_vector,
+    span_of,
+)
 
 
 def is_support(
@@ -171,14 +178,12 @@ def _reduce_step(
                 f"{name} = {index} != p; X is not a genuine p-element orbit situation"
             )
 
-    # h is the first element of stab_x, in enumeration order, that does not
-    # fix at both b1 and b2.  That is the last basis element that does not:
-    # every element enumerated before it combines only later basis
-    # elements, and those all fix at b1 and b2.
-    for v in reversed(stab_x.space.basis):
-        m, n = b1.dot(v), b2.dot(v)
-        if (m, n) != (0, 0):
-            break
+    # h is the first element of stab_x = Ann(F), in enumeration order, that
+    # does not fix at both b1 and b2.  That is the last basis vector that
+    # does not: every element enumerated before it combines only later
+    # basis vectors, and those all fix at b1 and b2.  It is built alone,
+    # at the cost of F, b1 and b2, not by listing the H - dim F basis.
+    v, (m, n) = last_annihilator_vector(stab_x.fixed, (b1, b2))
     h = GroupElement(v, horizon)
     if m == 0:
         b = b1

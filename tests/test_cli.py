@@ -214,7 +214,7 @@ def test_verify_all_scaled_deterministic(tmp_path, capsys):
     )
 
 
-def test_cap_and_window_exhaustion_exit_three(capsys):
+def test_cap_and_window_exhaustion_exit_three(capsys, tmp_path):
     # footprint rank 21 at horizon 30: 2^21 elements to list, over the cap
     wide = json.dumps({"tuple": [{"atom": f"(0|{i}:1)"} for i in range(21)]})
     code, _, err = run(capsys, "orbit", "--x", wide, "--horizon", "30")
@@ -223,6 +223,37 @@ def test_cap_and_window_exhaustion_exit_three(capsys):
     code, _, err = run(capsys, "extract-thin", "--count", "5", "--window", "64")
     assert code == 3
     assert "WindowExhaustedError" in err
+    # the cap bounds dense listings too: a stabilizer basis of H - 1
+    # vectors, and one witness h per reduction step, of H coordinates each
+    atom = '{"atom":"(0|0:1)"}'
+    code, out, err = run(capsys, "stabilizer", "--x", atom, "--horizon", "100000000")
+    assert (code, out) == (3, "")
+    assert "listing 99999999 x 100000000 coordinates (stabilizer basis)" in err
+    for horizon in (100_000_000, 8):
+        instance = dict(load_fixture("matching-p2"), horizon=horizon)
+        (tmp_path / f"h{horizon}.json").write_text(json.dumps(instance))
+    big = str(tmp_path / "h100000000.json")
+    code, out, err = run(capsys, "reduce-support", "--input", big)
+    assert (code, out) == (3, "")
+    assert "listing 1 x 100000000 coordinates (reduction witnesses h)" in err
+    # just under and just over the bound: 3 x 4 and 1 x 8 coordinates
+    stabilizer = ["stabilizer", "--x", atom, "--horizon", "4", "--cap-enum"]
+    reduction = ["reduce-support", "--input", str(tmp_path / "h8.json"), "--cap-enum"]
+    for argv, bound, what in (
+        (stabilizer, 12, "stabilizer basis"),
+        (reduction, 8, "reduction witnesses h"),
+    ):
+        code, out, _ = run(capsys, *argv, str(bound))
+        assert code == 0 and out
+        code, out, err = run(capsys, *argv, str(bound - 1))
+        assert (code, out) == (3, "")
+        assert f"coordinates ({what}) exceeds cap {bound - 1}" in err
+    # a size p^dimension past Python's int-to-text digit limit
+    code, out, err = run(
+        capsys, "stabilizer", "--x", '{"set":[]}', "--p", "999983", "--horizon", "800"
+    )
+    assert (code, out) == (3, "")
+    assert "stabilizer size 999983^800 has more than" in err
 
 
 def test_orbit_at_horizon_thirty(capsys):
@@ -410,12 +441,15 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, message):
         ["orbit", "--x", '{"atom":"(0|0:1)"}', "--horizon", "-2"],
         ["density", "--vectors", "0:1", "--profile", "3", "--k", "2"],
         ["density", "--vectors", "0:1", "--k", "1", "--profile", "3"],
+        ["support-check", "--a", "0:1", "--x", '{"atom":"(0|0:1)"}', "--horizon", "2",
+         "--cap-enum", "1"],
     ],
     ids=["refute-fixture-levels", "refute-fixture-s", "extract-input-no-file",
          "extract-canonical-fixture", "extract-fixture-input",
          "orbit-cap-negative", "stabilizer-cap-zero", "tower-cap-negative",
          "extract-window-negative", "orbit-horizon-negative",
-         "density-profile-k", "density-default-k-profile"],
+         "density-profile-k", "density-default-k-profile",
+         "support-check-cap-without-exhaustive"],
 )  # fmt: skip
 def test_flags_the_route_ignores_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)

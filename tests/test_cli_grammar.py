@@ -186,8 +186,9 @@ certificates = st.recursive(
 )
 
 p_flag = optional("--p", modulus)
-# the horizon stays at most 40: `stabilizer` prints a basis of H - r dense
-# vectors of H coordinates each, r the footprint rank
+# --cap-enum bounds the `stabilizer` listing, H - r dense vectors of H
+# coordinates each (r the footprint rank); the horizon stays at most 40 so
+# that the draws stay fast
 horizon_flag = optional("--horizon", ints(4, 8, "-1", "0", "1", "2", "3", "40"))
 cap_enum_flag = optional("--cap-enum", ints(1, 64, "0", "-5", "4096", "1000000"))
 cap_tower_flag = optional("--cap-tower", ints(1, 8, "0", "-1"))

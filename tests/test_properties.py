@@ -26,10 +26,17 @@ from atomlab.atom_action import (
     hf_to_json,
     orbit,
     pointwise_stabilizer,
+    sort_key,
     stabilizer_in,
 )
 from atomlab.errors import CertificateError, UsageError
-from atomlab.fp_core import Vector, annihilator, project_prefix, span_of
+from atomlab.fp_core import (
+    Vector,
+    annihilator,
+    last_annihilator_vector,
+    project_prefix,
+    span_of,
+)
 from atomlab.supports import find_small_support, is_support, reduce_support_step
 from atomlab.thin_ideal import certificate_violations, density_d_k, log_star_p
 from atomlab.verify import (
@@ -229,6 +236,67 @@ def test_orbit_and_stabilizer_over_ann_s_match_the_listed_group(p, horizon, seed
     want_orbit, want_fixers = group_oracle(x, span_of(s, p), horizon, p)
     assert orbit(x, sub) == want_orbit
     assert {g.coords for g in stabilizer_in(x, sub).elements()} == want_fixers
+
+
+def orbit_built_instance(rng, p, horizon):
+    """(x, S): x is a subset of the orbit of a random object, or a tuple of
+    two, each the union of the <g>-orbits of one or two members for a
+    random g in Ann(S), so g fixes it.  Random objects rarely have a
+    proper stabilizer, and these more often do.  Each vector of S has an entry
+    at a pivot of the object's footprint, so that the complement's basis
+    carries terms at the pivots of S.  Only oracles list and act."""
+    base = random_hf(rng, p, horizon, 2)
+    pivots = [w.lead_index for w in span_of((a.w for a in atoms_of(base)), p).basis]
+    s = []
+    for _ in range(rng.randint(0, min(2, len(pivots)))):
+        coords = {i: rng.randrange(p) for i in range(horizon)}
+        coords[rng.choice(pivots)] = rng.randrange(1, p)
+        s.append(Vector.from_dict(p, coords))
+    members, _ = group_oracle(base, span_of([], p), horizon, p)
+    members = sorted(members, key=sort_key)
+
+    def subset():
+        while True:
+            coords = [rng.randrange(p) for _ in range(horizon)]
+            if all(v.dot_dense(coords) == 0 for v in s):
+                break
+        g = GroupElement.from_coords(p, coords)
+        chosen = set()
+        for m in rng.sample(members, min(len(members), rng.randint(1, 2))):
+            for _ in range(p):
+                chosen.add(m)
+                m = tree_act(m, g)
+        return FiniteSet(chosen)
+
+    x = subset() if rng.random() < 0.5 else HFTuple((subset(), subset()))
+    return x, s
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 2**32))
+def test_queries_on_orbit_built_sets_match_the_oracles(p, horizon, seed):
+    x, s = orbit_built_instance(random.Random(seed), p, horizon)
+    sub = pointwise_stabilizer(s, horizon, p)
+    want_orbit, want_fixers = group_oracle(x, span_of(s, p), horizon, p)
+    assert orbit(x, sub) == want_orbit
+    assert {g.coords for g in stabilizer_in(x, sub).elements()} == want_fixers
+    assert is_support(s, x, horizon, p) == support_oracle(tuple(s), x, horizon, p)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 9), st.data())
+def test_last_annihilator_vector_is_the_reversed_scan(p, n, data):
+    dense = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    vector = dense.map(lambda c: Vector.from_dict(p, dict(enumerate(c))))
+    s = span_of(data.draw(st.lists(vector, max_size=n)), p)
+    b1, b2 = data.draw(vector), data.draw(vector)
+    want = next(
+        ((v, (b1.dot(v), b2.dot(v)))
+         for v in reversed(annihilator(s, n).basis)
+         if (b1.dot(v), b2.dot(v)) != (0, 0)),
+        None,
+    )  # fmt: skip
+    assert last_annihilator_vector(s, (b1, b2)) == want
 
 
 def pairing(u, v):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -205,16 +206,24 @@ class TestFindSmallSupport:
         assert is_support(result, x, 3, p, exhaustive=True)
 
     def test_matching_at_horizon_ten_thousand(self):
-        # only the printed witness h is H coordinates long
-        horizon = 10_000
-        base = [e(horizon - 1)]
-        b1, b2 = e(1), e(2) + e(horizon // 2)
-        x = matching(2, 0, b1, b2)
-        result, trace = find_small_support(
-            x, matching_orbit(2, b1, b2), base, [b1, b2], horizon, 2
-        )
-        assert span_of(result, 2) == span_of(base + [b1 + b2], 2)
-        assert [step.h.horizon for step in trace.steps] == [horizon]
+        # only the printed witness h is H coordinates long: the reduction
+        # builds no basis of the stabilizer, so at H = 10^5 it peaks under
+        # 1 MB, and it answers at H = 10^8
+        for horizon in (10_000, 100_000, 10**8):
+            base = [e(horizon - 1)]
+            b1, b2 = e(1), e(2) + e(horizon // 2)
+            x = matching(2, 0, b1, b2)
+            tracemalloc.start()
+            try:
+                result, trace = find_small_support(
+                    x, matching_orbit(2, b1, b2), base, [b1, b2], horizon, 2
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert span_of(result, 2) == span_of(base + [b1 + b2], 2)
+            assert [step.h.horizon for step in trace.steps] == [horizon]
+            assert peak < 2**20, horizon
 
     def test_trace_json_shape(self):
         x = matching(2, 0)
