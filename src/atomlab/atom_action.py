@@ -25,13 +25,19 @@ S: sizes and indices are rank arithmetic, and the subgroup's own basis
 is built (by ``fp_core.annihilator``) only where it is listed.
 
 An element k of K = Ann(S) pairs with an atom vector of x as with its
-residue modulo S, so it moves x only through its pairings with w_1..w_r,
-the echelon basis of those residues; r is the footprint rank modulo S.
-``_footprint_split`` returns that basis and the span C of one element of
-K per w_j, pairing to 1 with it and to 0 with the others: a complement,
-of dimension r, of the kernel that fixes x, read off S without forming a
-basis of K.  ``orbit`` and ``stabilizer_in`` enumerate C (the cap bounds
-p^r, not |K|), and ``fixed_by`` acts by C's basis only, r at most.
+residue modulo S, so it moves x only through its footprint functionals
+f = (<w_j, k>)_j, w_1..w_r the echelon basis of those residues (r is the
+footprint rank modulo S).  ``Transporters`` decides questions of x by
+linear algebra over f: the set T(y, z) of f sending a node y to z is
+empty or affine, and is found bottom-up over the DAG.  ``stabilizer_in``
+is Ann(S + T_x) for the vectors T_x read off T(x, x), enumerating and
+acting by no element.  ``_complement`` is the span C of one element of K
+per w_j, pairing to 1 with it and to 0 with the others, read off S
+without forming a basis of K.  Enumeration of C is kept only where
+elements are listed: ``orbit`` (the cap bounds p^r, not |K|).
+``fixed_by`` acts by C's basis, r elements at most, and
+``support-check --exhaustive`` and the oracles in ``verify`` enumerate
+on purpose.
 """
 
 from __future__ import annotations
@@ -40,15 +46,17 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalConsistencyError, UsageError
+from .errors import UsageError
 from .fp_core import (
     DEFAULT_ENUM_CAP,
     Subspace,
     Vector,
+    _insert_echelon,
     annihilator,
     check_horizon,
     check_prime,
     span_of,
+    unit,
 )
 
 
@@ -406,29 +414,198 @@ def act_hf(x: HFObject, g: GroupElement) -> HFObject:
     return _node(x)._act(g, {})
 
 
-def _footprint_split(
-    x: HFObject, subgroup: GroupSubspace
-) -> tuple[tuple[Vector, ...], Subspace]:
-    """Split K = Ann(S) by x's footprint modulo S.  Returns the echelon
-    basis w_1..w_r of x's atom vectors reduced modulo S, and the span C of
-    g_j = e_q - sum_{s in S} s_q e_pivot(s), q the pivot of w_j.
-
-    An element of K pairs with an atom vector as with its residue, a
-    combination of the w's, so it moves x only through (<w_j, k>)_j, and
-    the kernel of that map fixes x.  Each g_j pairs to 0 with every s, so
-    lies in K, and to 1 with w_j and 0 with every other w, since the w's
-    vanish at each other's pivots and at those of S: C is a complement of
-    the kernel in K, of dimension r."""
-    p, horizon, fixed = subgroup.p, subgroup.horizon, subgroup.fixed
+def _footprint(x: HFObject, subgroup: GroupSubspace) -> tuple[Vector, ...]:
+    """The echelon basis w_1..w_r of x's atom vectors reduced modulo S, for
+    the subgroup K = Ann(S).  An element of K pairs with an atom vector as
+    with its residue, a combination of the w's, so it moves x only through
+    its footprint functionals f = (<w_j, k>)_j, and the kernel of k -> f
+    fixes x."""
     vectors = {a.w for a in atoms_of(x)}
-    footprint = span_of((fixed.reduce(w) for w in vectors), p).basis
-    check_horizon(vectors, horizon)
+    footprint = span_of((subgroup.fixed.reduce(w) for w in vectors), subgroup.p).basis
+    check_horizon(vectors, subgroup.horizon)
+    return footprint
+
+
+def _complement(x: HFObject, subgroup: GroupSubspace) -> Subspace:
+    """The span C of g_j = e_q - sum_{s in S} s_q e_pivot(s), q the pivot of
+    the footprint vector w_j.  Each g_j pairs to 0 with every s, so lies in
+    K, and to 1 with w_j and 0 with every other w, since the w's vanish at
+    each other's pivots and at those of S: C is a complement of the kernel
+    that fixes x, of dimension r, and sum_j f_j g_j has functionals f."""
+    p, fixed = subgroup.p, subgroup.fixed
     lifts = []
-    for w in footprint:
+    for w in _footprint(x, subgroup):
         q = w.lead_index
         tail = tuple((s.lead_index, -c % p) for s in fixed.basis if (c := s.coeff(q)))
         lifts.append(Vector(p, (*tail, (q, 1))))  # S's pivots lie below q
-    return footprint, span_of(lifts, p)
+    return span_of(lifts, p)
+
+
+# conditions <v, g> = b on g, which together say g lies in a transporter
+Conditions = tuple[tuple[Vector, int], ...]
+
+
+def satisfies(conditions: Conditions, g: GroupElement) -> bool:
+    """Whether g, an element of K, meets every condition <v, g> = b."""
+    return all(v.dot(g.vector) == b for v, b in conditions)
+
+
+class Transporters:
+    """The transporters T(y, z) = {f in F_p^r : y.f = z} between a node y
+    of x and any HF object z, where f ranges over the footprint functionals
+    of x in K = Ann(S) and y.f is y acted on by any g in K with those
+    pairings.  K acts on atoms by translations, so T(y, z) is empty or an
+    affine subspace, found bottom-up over the DAG by linear algebra alone.
+
+    T(y, z) is given by the reduced echelon rows (u | b) in F_p^(r+1) of
+    the conditions u.f = b; the empty set is ``empty``, the single row
+    with pivot r.
+    Transporters are memoized by node identity for the life of the
+    context, which holds every object it was asked about, so ids are not
+    reused."""
+
+    def __init__(self, x: HFObject, subgroup: GroupSubspace):
+        self._footprint = _footprint(x, subgroup)
+        self._fixed = subgroup.fixed
+        self._p, self._r = subgroup.p, len(self._footprint)
+        self._slot = {w.lead_index: j for j, w in enumerate(self._footprint)}
+        self.empty = (unit(self._p, self._r),)
+        self._coords: dict[Vector, tuple] = {}
+        self._memo: dict[tuple[int, int], tuple[Vector, ...]] = {}
+        self._held = [x]
+
+    def __call__(self, y: HFObject, z: HFObject) -> tuple[Vector, ...]:
+        self._held += (y, z)
+        return self._transporter(_node(y), _node(z))
+
+    def pullback(self, rows: Sequence[Vector]) -> Conditions:
+        """Each row (u | b) as the condition <sum_j u_j w_j, g> = b on g in K."""
+        r, zero, w = self._r, Vector(self._p), self._footprint
+
+        def vector(row: Vector) -> Vector:
+            return sum((w[j].scale(c) for j, c in row.entries if j < r), zero)
+
+        return tuple((vector(row), _offset_at(row, r)) for row in rows)
+
+    def _echelon(self, gens: Iterable[Vector]) -> tuple[Vector, ...]:
+        rows: list[Vector] = []
+        for v in gens:
+            _insert_echelon(rows, v)
+        return self.empty if rows and rows[-1].lead_index == self._r else tuple(rows)
+
+    def _transporter(self, y: HFObject, z: HFObject) -> tuple[Vector, ...]:
+        key = (id(y), id(z))
+        rows = self._memo.get(key)
+        if rows is None:
+            kind = type(y)
+            if kind is not type(z) or (kind is not AtomLeaf and len(y) != len(z)):
+                rows = self.empty
+            elif kind is AtomLeaf:
+                rows = self._atom(y._data, z._data)
+            elif kind is HFTuple:
+                rows = self._tuple(y._data, z._data)
+            else:
+                rows = self._set(y._data, z._data)
+            self._memo[key] = rows
+        return rows
+
+    def _atom(self, a: Atom, b: Atom) -> tuple[Vector, ...]:
+        """c(w).f = b - a, c(w) the coordinates of w modulo S over the w's:
+        its residue read at their pivots."""
+        if a.w != b.w:
+            return self.empty
+        c = self._coords.get(a.w)
+        if c is None:
+            residue = self._fixed.reduce(a.w)
+            c = tuple((self._slot[i], v) for i, v in residue.entries if i in self._slot)
+            self._coords[a.w] = c
+        shift = (b.a - a.a) % self._p
+        if not c:
+            return self.empty if shift else ()
+        row = _with_offset(Vector(self._p, c), shift, self._r)
+        return (row.scale(pow(c[0][1], -1, self._p)),)
+
+    def _tuple(self, ys, zs) -> tuple[Vector, ...]:
+        parts = []
+        for y, z in zip(ys, zs):
+            rows = self._transporter(y, z)
+            if rows is self.empty:
+                return rows
+            if rows:
+                parts.append(rows)
+        if len(parts) == 1:  # already reduced echelon
+            return parts[0]
+        return self._echelon(row for rows in parts for row in rows)
+
+    def _set(self, ys, zs) -> tuple[Vector, ...]:
+        """Sort y's members into orbit classes: m joins rep's class when
+        T(rep, m) is nonempty.  The group is abelian, so a class shares
+        Stab(rep) = Ann(U), and T(rep, m) has the rows of T(rep, rep) with
+        the offsets beta(m) = U.f in their last coordinate.  f maps the
+        class onto the members of z in its orbit exactly when the offsets
+        D of the class and D' of those members satisfy D + U.f = D'.  The
+        valid U.f form a coset v0 + P, so the class adds the rows
+        (sum_i q_i u_i | q.v0) for q in Ann(P)."""
+        r = self._r
+        # (rep, the offsets of its class in y, those of its orbit in z)
+        classes: list[tuple[HFObject, set, set]] = []
+        for side, members in ((1, ys), (2, zs)):
+            for m in members:
+                for cls in classes:
+                    rows = self._transporter(cls[0], m)
+                    if rows is not self.empty:
+                        cls[side].add(tuple(_offset_at(row, r) for row in rows))
+                        break
+                else:
+                    if side == 2:  # in no orbit of y's members
+                        return self.empty
+                    classes.append((m, {(0,) * len(self._transporter(m, m))}, set()))
+        gens = []
+        for rep, offsets, targets in classes:
+            if len(offsets) != len(targets):
+                return self.empty
+            stab = self._transporter(rep, rep)
+            shifts = _valid_shifts(offsets, targets, self._p)
+            if not shifts:
+                return self.empty
+            # the rows R_i = (u_i | v0_i) pin U.f to v0; over the echelon
+            # basis of P (pivot = least coordinate), Ann(P) has the basis
+            # e_i - sum_t t_i e_pivot(t) for the coordinates i off the pivots
+            v0 = shifts[0]
+            pinned = [_with_offset(u, b, r) for u, b in zip(stab, v0)]
+            diffs = (
+                Vector.from_dict(self._p, dict(enumerate(a - b for a, b in zip(v, v0))))
+                for v in shifts[1:]
+            )
+            basis = span_of(diffs, self._p).basis
+            pivots = {t.lead_index for t in basis}
+            for i, row in enumerate(pinned):
+                if i not in pivots:
+                    terms = (pinned[t.lead_index].scale(-t.coeff(i)) for t in basis)
+                    gens.append(sum(terms, row))
+        return self._echelon(gens)
+
+
+def _with_offset(u: Vector, b: int, r: int) -> Vector:
+    """The augmented row (u | b) of a row u with no entry at r."""
+    return Vector(u.p, (*u.entries, (r, b))) if b else u
+
+
+def _offset_at(row: Vector, r: int) -> int:
+    """The last coordinate b of an augmented row (u | b)."""
+    return row.entries[-1][1] if row.entries[-1][0] == r else 0
+
+
+def _valid_shifts(offsets: set, targets: set, p: int) -> list[tuple[int, ...]]:
+    """The shifts v with offsets + v = targets: each is some target minus
+    some offset, so |offsets| candidates are tried against one target."""
+    target = next(iter(targets))
+    shifts = []
+    for d in offsets:
+        v = tuple((a - b) % p for a, b in zip(target, d))
+        if {tuple((a + b) % p for a, b in zip(e, v)) for e in offsets} == targets:
+            shifts.append(v)
+    return shifts
 
 
 def orbit(
@@ -436,39 +613,20 @@ def orbit(
 ) -> frozenset[HFObject]:
     """{x.g : g in the subgroup}, by enumerating the complement of the
     footprint kernel (the cap bounds its size, p^r, not the subgroup's)."""
-    _, complement = _footprint_split(x, subgroup)
+    complement = _complement(x, subgroup)
     return frozenset(
         act_hf(x, GroupElement(c, subgroup.horizon))
         for c in complement.enumerate_elements(cap)
     )
 
 
-def stabilizer_in(
-    x: HFObject, subgroup: GroupSubspace, cap: int = DEFAULT_ENUM_CAP
-) -> GroupSubspace:
-    """{g in Ann(S) : x.g = x} = Ann(S + T).  x.g depends only on the
-    pairings f = (<w_j, g>)_j, and the complement realizes each f once, so
-    the stabilizer is the g whose f lies in F, the pairings of the fixers
-    in the complement, and T = {sum_j t_j w_j : t orthogonal to F}."""
-    p = subgroup.p
-    footprint, complement = _footprint_split(x, subgroup)
-    fixing = [
-        Vector.from_dict(p, {j: w.dot(c) for j, w in enumerate(footprint)})
-        for c in complement.enumerate_elements(cap)
-        if act_hf(x, GroupElement(c, subgroup.horizon)) == x
-    ]
-    kept = span_of(fixing, p)
-    # fixing is preserved under composition, so the fixers in the
-    # complement must form a subspace of it
-    if p**kept.dimension != len(fixing):
-        raise InternalConsistencyError(
-            "stabilizer is not closed under composition; action is inconsistent"
-        )
-    also_fixed = (
-        sum((footprint[j].scale(c) for j, c in t.entries), Vector(p))
-        for t in annihilator(kept, len(footprint)).basis
-    )
-    fixed = span_of((*subgroup.fixed.basis, *also_fixed), p)
+def stabilizer_in(x: HFObject, subgroup: GroupSubspace) -> GroupSubspace:
+    """{g in Ann(S) : x.g = x} = Ann(S + T_x), where T_x holds
+    sum_j u_j w_j for the rows u of the transporter T(x, x): linear algebra
+    over the footprint, enumerating no element and acting by none."""
+    t = Transporters(x, subgroup)
+    also_fixed = (v for v, _ in t.pullback(t(x, x)))
+    fixed = span_of((*subgroup.fixed.basis, *also_fixed), subgroup.p)
     return GroupSubspace(subgroup.horizon, fixed)
 
 
@@ -476,7 +634,7 @@ def fixed_by(x: HFObject, subgroup: GroupSubspace) -> bool:
     """True iff every element of the subgroup fixes x.  The footprint
     kernel fixes x and the fixers form a subgroup, so the basis of its
     complement decides it: at most footprint-rank actions, and no cap."""
-    _, complement = _footprint_split(x, subgroup)
+    complement = _complement(x, subgroup)
     return all(
         act_hf(x, GroupElement(c, subgroup.horizon)) == x for c in complement.basis
     )

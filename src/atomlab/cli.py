@@ -163,7 +163,7 @@ def check_listing(rows: int, length: int, cap: int, what: str) -> None:
 
 def cmd_stabilizer(args) -> int:
     x = parse_hf(args.x, args.p)
-    sub = stabilizer_in(x, _subgroup(args), cap=args.cap_enum)
+    sub = stabilizer_in(x, _subgroup(args))
     check_listing(sub.dimension, sub.horizon, args.cap_enum, "stabilizer basis")
     size = sub.size
     try:
@@ -209,9 +209,7 @@ def cmd_reduce_support(args) -> int:
     p, horizon, base, supp, x, orbit_set = read_input(
         _reduction_instance, args.fixture, args.input
     )
-    result, trace = find_small_support(
-        x, orbit_set, base, supp, horizon, p, cap=args.cap_enum
-    )
+    result, trace = find_small_support(x, orbit_set, base, supp, horizon, p)
     witnesses = sum(not step.shortcut for step in trace.steps)
     check_listing(witnesses, horizon, args.cap_enum, "reduction witnesses h")
     support_texts = sorted(v.to_text() for v in result)
@@ -364,7 +362,9 @@ SHARED_FLAGS = {
         type=int_at_least(0), default=3, help="coordinate cutoff (default 3)"
     ),
     "--cap-enum": dict(
-        type=positive_int, default=DEFAULT_ENUM_CAP, help="enumeration size cap"
+        type=positive_int,
+        default=DEFAULT_ENUM_CAP,
+        help="cap on enumerated elements and listed coordinates",
     ),
     "--cap-tower": dict(
         type=positive_int, default=DEFAULT_TOWER_CAP, help="tower height cap"

@@ -7,28 +7,50 @@ supports every level, yet the one-coordinate group element at the least
 level outside a proposed support swaps that level and, by propagation,
 every level above it, so it moves every pick of every choice selection
 touching those levels.
+
+Both facts are decided by transporters (``atom_action.Transporters``),
+computed once per tower from its own pairs: the empty set supports a
+level when the level's transporter to itself has no rows, and a swap
+fixes or exchanges a level's pair when its footprint functionals
+satisfy the rows of the matching transporters.  Nothing here acts on a
+tower or compares two of its objects; ``verify`` and the tests keep
+acting and comparing as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .atom_action import (
+    Conditions,
     FiniteSet,
     GroupElement,
+    GroupSubspace,
     HFObject,
     HFTuple,
-    act_hf,
+    Transporters,
     hf_to_json,
     leaf,
+    satisfies,
 )
 from .errors import InternalConsistencyError, ResourceError, UsageError
 from .fp_core import unit
-from .supports import is_support
 
 DEFAULT_TOWER_CAP = 12
 TOWER_P = 2
+
+
+@dataclass(frozen=True)
+class LevelTransporters:
+    """For one level L = {u, v}, as conditions on g: T(L, L) (g fixes the
+    level), T(u, v) meet T(v, u) (g swaps the pair) and T(u, u) meet
+    T(v, v) (g fixes both)."""
+
+    level: Conditions
+    swaps: Conditions
+    fixes: Conditions
 
 
 @dataclass(frozen=True)
@@ -46,6 +68,27 @@ class PairTower:
     def level_pair(self, n: int) -> tuple[HFObject, HFObject]:
         return self.pairs[n]
 
+    @cached_property
+    def transporters(self) -> tuple[LevelTransporters, ...]:
+        """Per level, its transporters in the full group of the tower's
+        horizon, from one context shared by every level (level n + 1 is
+        built from level n, so its transporters reuse theirs).  Only the
+        conditions are kept, not the context.  The group is abelian, so
+        T(v, u) = -T(u, v), and v has u's stabilizer when it lies in u's
+        orbit."""
+        group = GroupSubspace.full(TOWER_P, self.height)
+        t = Transporters(HFTuple(self.levels), group)
+        records = []
+        for level, (u, v) in zip(self.levels, self.pairs):
+            there = t.pullback(t(u, v))
+            back = tuple((w, -b % TOWER_P) for w, b in there)
+            fixes = t.pullback(t(u, u))
+            if t(u, v) is t.empty:
+                fixes += t.pullback(t(v, v))
+            whole = t.pullback(t(level, level))
+            records.append(LevelTransporters(whole, there + back, fixes))
+        return tuple(records)
+
 
 def build_tower(height: int, cap: int = DEFAULT_TOWER_CAP) -> PairTower:
     """Construct the tower and check its defining invariants as it grows.
@@ -53,7 +96,9 @@ def build_tower(height: int, cap: int = DEFAULT_TOWER_CAP) -> PairTower:
     The pairs come out in canonical order without sorting: the cell is
     ((0, e_i), (1, e_i)), and from a canonical pair (u, v) and cell
     (a0, a1) the straight bijection {(u, a0), (v, a1)} sorts before the
-    crossed one {(u, a1), (v, a0)}, since both list (u, _) first.
+    crossed one {(u, a1), (v, a0)}, since both list (u, _) first.  The
+    empty set supports level n when T(L_n, L_n) sets no condition: every
+    group element fixes it.
     """
     if height < 1:
         raise UsageError("tower height must be at least 1")
@@ -68,10 +113,10 @@ def build_tower(height: int, cap: int = DEFAULT_TOWER_CAP) -> PairTower:
         crossed = FiniteSet((HFTuple((u, a1)), HFTuple((v, a0))))
         pairs.append((straight, crossed))
     tower = PairTower(tuple(FiniteSet(pair) for pair in pairs), tuple(pairs))
-    for n, level in enumerate(tower.levels):
+    for n, (level, record) in enumerate(zip(tower.levels, tower.transporters)):
         if len(level) != 2:
             raise InternalConsistencyError(f"level {n} does not have 2 elements")
-        if not is_support((), level, height, p=p):
+        if record.level:
             raise InternalConsistencyError(f"level {n} is not supported by the empty set")
     return tower
 
@@ -85,15 +130,14 @@ def level_swap(tower: PairTower, i: int) -> GroupElement:
 
 def swap_effect(tower: PairTower, i: int) -> list[tuple[int, bool]]:
     """Per level n, whether the level-i swap exchanges the two elements; it
-    must exchange them exactly when n >= i and fix them otherwise."""
+    must exchange them exactly when n >= i and fix them otherwise.  Decided
+    by whether the swap lies in the level's transporters: it fixes the pair,
+    or it swaps the pair, or it moves the level outside {u, v}."""
     g = level_swap(tower, i)
     effects = []
-    for n in range(tower.height):
-        u, v = tower.level_pair(n)
-        image = (act_hf(u, g), act_hf(v, g))
-        # one compare per image: equal but distinct DAGs compare tree-wise
-        swapped = image != (u, v)
-        if swapped and image != (v, u):
+    for n, record in enumerate(tower.transporters):
+        swapped = not satisfies(record.fixes, g)
+        if swapped and not satisfies(record.swaps, g):
             raise InternalConsistencyError(f"level {n} is not preserved by {g}")
         if swapped != (n >= i):
             raise InternalConsistencyError(

@@ -132,7 +132,6 @@ def reduce_support_step(
     supplement: Sequence[Vector],
     horizon: int,
     p: int,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[Vector | None, list[Vector], ReductionStep]:
     """Shrink the supplementary support B by exactly one element.
 
@@ -145,7 +144,7 @@ def reduce_support_step(
     if len(supplement) < 2:
         raise UsageError("reduction step needs |B| >= 2")
     _validate_instance(x, orbit_set, base, supplement, horizon, p)
-    return _reduce_step(x, base, supplement, horizon, p, cap)
+    return _reduce_step(x, base, supplement, horizon, p)
 
 
 def _reduce_step(
@@ -154,7 +153,6 @@ def _reduce_step(
     supplement: list[Vector],
     horizon: int,
     p: int,
-    cap: int,
 ) -> tuple[Vector | None, list[Vector], ReductionStep]:
     """The body of ``reduce_support_step`` on an instance already
     validated, with |B| >= 2."""
@@ -167,7 +165,7 @@ def _reduce_step(
 
     b1, b2, rest = supplement[0], supplement[1], supplement[2:]
     big = pointwise_stabilizer(base + tuple(rest), horizon, p)
-    stab_x = stabilizer_in(x, big, cap)
+    stab_x = stabilizer_in(x, big)
     both_fixed = pointwise_stabilizer(base + tuple(supplement), horizon, p)
     for name, index in (
         ("[G':H]", big.index_over(stab_x)),
@@ -209,7 +207,6 @@ def find_small_support(
     supplement: Iterable[Vector],
     horizon: int,
     p: int,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[frozenset[Vector], ReductionTrace]:
     """Iterate the reduction until at most one supplementary vector remains.
 
@@ -224,7 +221,7 @@ def find_small_support(
     _validate_instance(x, orbit_set, base, current, horizon, p)
     steps = []
     while len(current) >= 2:
-        _, current, step = _reduce_step(x, base, current, horizon, p, cap)
+        _, current, step = _reduce_step(x, base, current, horizon, p)
         steps.append(step)
     if len(current) == 1 and is_support(base, x, horizon, p):
         steps.append(ReductionStep(tuple(current), None, None, None, None, True))

@@ -8,8 +8,10 @@ Where an operation has a brute-force counterpart, the suite runs the
 brute force independently of the production route: support checks are
 re-done by enumerating the whole group with raw dot products, orbits and
 stabilizers by acting with every member of the whole group that lies in
-the subgroup, the action on objects with shared subterms by plain
-recursion over the expanded tree, log* is re-derived by iterating
+the subgroup, transporters by acting with every lift of the footprint
+functionals and comparing, the swaps of pair towers by acting with
+plain recursion over the expanded tree and comparing, as is the action
+on objects with shared subterms, log* is re-derived by iterating
 ceiling logs, and span densities are re-counted over the listed span.
 """
 
@@ -28,6 +30,8 @@ from .atom_action import (
     GroupSubspace,
     HFObject,
     HFTuple,
+    Transporters,
+    _complement,
     act_atom,
     act_hf,
     atom,
@@ -36,6 +40,8 @@ from .atom_action import (
     hf_to_json,
     orbit,
     pointwise_stabilizer,
+    satisfies,
+    sort_key,
     stabilizer_in,
     to_kuratowski,
 )
@@ -160,12 +166,18 @@ def support_oracle(
 
 def tree_act(x: HFObject, g: GroupElement) -> HFObject:
     """The action by plain recursion over the expanded tree: no memo and
-    no shortcut for unmoved nodes, each atom moved by a raw dot product."""
-    if isinstance(x, AtomLeaf):
-        a = x.atom
-        return AtomLeaf(atom(a.a + a.w.dot_dense(g.coords), a.w))
-    images = [tree_act(m, g) for m in x]
-    return FiniteSet(images) if isinstance(x, FiniteSet) else HFTuple(images)
+    no shortcut for unmoved nodes, each atom moved by a raw dot product
+    with g's dense residues."""
+    coords = g.coords
+
+    def act(y: HFObject) -> HFObject:
+        if isinstance(y, AtomLeaf):
+            a = y.atom
+            return AtomLeaf(atom(a.a + a.w.dot_dense(coords), a.w))
+        images = [act(m) for m in y]
+        return FiniteSet(images) if isinstance(y, FiniteSet) else HFTuple(images)
+
+    return act(x)
 
 
 def tree_atoms(x: HFObject) -> list:
@@ -203,6 +215,66 @@ def group_oracle(
             if y == x:
                 fixers.add(coords)
     return images, fixers
+
+
+def orbit_built_instance(
+    rng: random.Random, p: int, horizon: int
+) -> tuple[HFObject, list[Vector]]:
+    """(x, S): x is a subset X of the orbit of a random object, a tuple of
+    X and one of its members, or a tuple of two such subsets, each the
+    union of the <g>-orbits of one or two members for a random g in
+    Ann(S), so g fixes it.  Random objects rarely have a proper
+    stabilizer, and these more often do.  Each vector of S has an entry
+    at a pivot of the object's footprint, so that the complement's basis
+    carries terms at the pivots of S.  Only oracles list and act."""
+    base = random_hf(rng, p, horizon, 2)
+    pivots = [w.lead_index for w in span_of((a.w for a in atoms_of(base)), p).basis]
+    s = []
+    for _ in range(rng.randint(0, min(2, len(pivots)))):
+        coords = {i: rng.randrange(p) for i in range(horizon)}
+        coords[rng.choice(pivots)] = rng.randrange(1, p)
+        s.append(Vector.from_dict(p, coords))
+    members, _ = group_oracle(base, Subspace(p), horizon, p)
+    members = sorted(members, key=sort_key)
+
+    def subset():
+        while True:
+            coords = [rng.randrange(p) for _ in range(horizon)]
+            if all(v.dot_dense(coords) == 0 for v in s):
+                break
+        g = GroupElement.from_coords(p, coords)
+        chosen = set()
+        for m in rng.sample(members, min(len(members), rng.randint(1, 2))):
+            for _ in range(p):
+                chosen.add(m)
+                m = tree_act(m, g)
+        return FiniteSet(chosen)
+
+    style = rng.random()
+    if style < 0.5:
+        return subset(), s
+    if style < 0.75:
+        return HFTuple((subset(), subset())), s
+    chosen = subset()
+    return HFTuple((chosen, rng.choice(sorted(chosen, key=sort_key)))), s
+
+
+def transporters_match_the_lifts(
+    rng: random.Random, x: HFObject, s: list[Vector], horizon: int, p: int
+) -> bool:
+    """T(x, x) and T(x, x.g), for a random lift g and x.g acted on by plain
+    recursion, against acting on x by each of the p^r lifts and comparing:
+    a lift lies in a transporter exactly when it sends x to the target."""
+    sub = pointwise_stabilizer(s, horizon, p)
+    lifts = [GroupElement(c, horizon) for c in _complement(x, sub).enumerate_elements()]
+    images = [act_hf(x, g) for g in lifts]
+    transporters = Transporters(x, sub)
+    for target in (x, tree_act(x, rng.choice(lifts))):
+        conditions = transporters.pullback(transporters(x, target))
+        for g, image in zip(lifts, images):
+            if satisfies(conditions, g) != (image == target):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +491,19 @@ def suite_support_basics(cfg: VerifyConfig) -> list[Check]:
                     ok = False
                 cases += 1
         checks.append(Check(f"footprint-quotient-p{p}", ok, f"{cases} cases"))
+
+    # last, so that the random streams of the checks above do not change
+    ok = True
+    cases = 0
+    for p in (2, 3, 5):
+        for _ in range(_n(cfg, 20)):
+            # the oracle acts by p^r lifts, r <= H: at most 81 of them
+            horizon = rng.randint(1, 4 if p < 5 else 2)
+            x, s = orbit_built_instance(rng, p, horizon)
+            if not transporters_match_the_lifts(rng, x, s, horizon, p):
+                ok = False
+            cases += 1
+    checks.append(Check("transporters-vs-enumeration", ok, f"{cases} cases"))
     return checks
 
 
@@ -685,6 +770,31 @@ def suite_tower_refutation(cfg: VerifyConfig) -> list[Check]:
                     ok = False
                 count += 1
     checks.append(Check("refutation-exhaustive", ok, f"{count} proper supports"))
+
+    # the swap contract by acting with plain recursion and comparing, the
+    # oracle of the transporters that swap_effect decides by.  Level n is
+    # built alike at every height and involves only cells 0..n, so the
+    # images in the tallest tower decide every height's swaps.
+    ok = True
+    tall = build_tower(8)
+    swapped = []
+    for i in range(tall.height):
+        g = level_swap(tall, i)
+        swapped.append([])
+        for u, v in tall.pairs:
+            image = (tree_act(u, g), tree_act(v, g))
+            if image not in ((u, v), (v, u)):
+                ok = False
+            swapped[i].append(image != (u, v))
+    for height in range(1, tall.height + 1):
+        tower = build_tower(height)
+        for i in range(height):
+            want = [(n, swapped[i][n]) for n in range(height)]
+            if swap_effect(tower, i) != want or want != [
+                (n, n >= i) for n in range(height)
+            ]:
+                ok = False
+    checks.append(Check("swap-propagation-vs-action", ok))
     return checks
 
 

@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
 
+import atomlab.atom_action as atom_action
 from atomlab.atom_action import (
     Atom,
     AtomLeaf,
@@ -25,7 +27,7 @@ from atomlab.atom_action import (
     to_kuratowski,
 )
 from atomlab.errors import ResourceError, UsageError
-from atomlab.fp_core import Vector, span_of, unit
+from atomlab.fp_core import Subspace, Vector, span_of, unit
 from atomlab.supports import is_support
 
 
@@ -191,17 +193,57 @@ class TestOrbitStabilizer:
         with pytest.raises(ResourceError, match="enumeration of 4 elements exceeds cap 3"):
             orbit(x, GroupSubspace.full(2, 3), cap=3)
 
-    def test_stabilizer_cap_names_size_and_cap(self):
-        x = pair(leaf(0, e(0)), leaf(0, e(1)))
-        with pytest.raises(ResourceError, match="enumeration of 4 elements exceeds cap 3"):
-            stabilizer_in(x, GroupSubspace.full(2, 3), cap=3)
+    def test_stabilizer_answers_past_the_orbit_cap(self, monkeypatch):
+        # footprint rank 21: the orbit lists 2^21 elements, over the cap,
+        # while the stabilizer is read off transporters, with no element
+        # enumerated and none acted by
+        x = HFTuple(leaf(0, e(i)) for i in range(21))
+        full = GroupSubspace.full(2, 30)
+        with pytest.raises(
+            ResourceError, match="enumeration of 2097152 elements exceeds cap 1000000"
+        ):
+            orbit(x, full)
+
+        def forbidden(*_):
+            raise AssertionError("stabilizer_in enumerated or acted")
+
+        monkeypatch.setattr(atom_action, "act_hf", forbidden)
+        monkeypatch.setattr(Subspace, "enumerate_elements", forbidden)
+        want = pointwise_stabilizer([e(i) for i in range(21)], 30, 2)
+        assert stabilizer_in(x, full) == want
+        assert want.dimension == 9
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rank_forty_stabilizer_is_known_by_construction(self, p):
+        # twenty shifted matchings over disjoint pairs (b1, b2): each is
+        # fixed exactly by the g with <c*b1 - b2, g> = 0, so the tuple has
+        # footprint rank 40 and stabilizer Ann of those twenty vectors
+        horizon, rng = 60, random.Random(p)
+        matchings, fixed = [], []
+        for k in range(20):
+            b1, b2 = e(2 * k, p), e(2 * k + 1, p) + e(40 + k, p)
+            c, d = rng.randrange(1, p), rng.randrange(p)
+            matchings.append(
+                FiniteSet(
+                    pair(leaf(j, b1), leaf((c * j + d) % p, b2)) for j in range(p)
+                )
+            )
+            fixed.append(b1.scale(c) - b2)
+        x = HFTuple(matchings)
+        full = GroupSubspace.full(p, horizon)
+        start = time.perf_counter()
+        stab = stabilizer_in(x, full)
+        elapsed = time.perf_counter() - start
+        assert stab == pointwise_stabilizer(fixed, horizon, p)
+        assert stab.dimension == horizon - 20
+        assert elapsed < 0.1
 
     def test_footprint_kernel_is_not_enumerated(self):
         # 2^30 group elements, but x moves only through coordinate 0
         x = AtomLeaf(atom(0, e(0)))
         full = GroupSubspace.full(2, 30)
         assert orbit(x, full, cap=2) == {x, AtomLeaf(atom(1, e(0)))}
-        assert stabilizer_in(x, full, cap=2) == pointwise_stabilizer([e(0)], 30, 2)
+        assert stabilizer_in(x, full) == pointwise_stabilizer([e(0)], 30, 2)
 
     def test_rank_two_object_at_horizon_one_hundred_thousand(self):
         # neither query lists or builds a basis of the 10^5-dimensional group
@@ -228,8 +270,6 @@ class TestOrbitStabilizer:
         assert peak < 2**20
 
     def test_fixed_by_acts_at_most_footprint_rank_times(self, monkeypatch):
-        import atomlab.atom_action as atom_action
-
         calls = []
 
         def counted(x, g):

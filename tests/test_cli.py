@@ -220,6 +220,10 @@ def test_cap_and_window_exhaustion_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "orbit", "--x", wide, "--horizon", "30")
     assert code == 3
     assert "enumeration of 2097152 elements exceeds cap 1000000" in err
+    # the stabilizer of the same tuple enumerates nothing: 9 x 30 coordinates
+    code, out, _ = run(capsys, "stabilizer", "--x", wide, "--horizon", "30")
+    assert code == 0
+    assert out.startswith("stabilizer dimension 9 size 512\n")
     code, _, err = run(capsys, "extract-thin", "--count", "5", "--window", "64")
     assert code == 3
     assert "WindowExhaustedError" in err

@@ -3,8 +3,11 @@ import itertools
 import pytest
 
 from atomlab.atom_action import (
+    AtomLeaf,
     FiniteSet,
     GroupElement,
+    HFObject,
+    _Collection,
     act_hf,
     atoms_of,
     leaf,
@@ -83,12 +86,43 @@ class TestSwapEffect:
             assert act_hf(u, ident) is u and act_hf(v, ident) is v
 
     def test_contract_exhaustive(self):
+        # oracle: act on both elements of every level and compare
         for height in range(1, DEFAULT_TOWER_CAP + 1):
             tower = build_tower(height)
             for i in range(height):
-                assert swap_effect(tower, i) == [
-                    (n, n >= i) for n in range(height)
-                ]
+                g = level_swap(tower, i)
+                acted = []
+                for n, (u, v) in enumerate(tower.pairs):
+                    image = (act_hf(u, g), act_hf(v, g))
+                    assert image in ((u, v), (v, u))
+                    acted.append((n, image != (u, v)))
+                assert swap_effect(tower, i) == acted
+                assert acted == [(n, n >= i) for n in range(height)]
+
+    def test_decisions_neither_act_nor_compare(self, monkeypatch):
+        calls = []
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls.append(name)
+                return method(*args)
+
+            return wrapper
+
+        for cls, name in (
+            (HFObject, "__eq__"),
+            (AtomLeaf, "_act"),
+            (_Collection, "_act"),
+        ):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+        tower = build_tower(10)
+        for i in range(10):
+            swap_effect(tower, i)
+        refute_pcf(tower, {0, 1, 2, 4})
+        assert calls == []
+        # the counters do count: one action and one comparison of equal DAGs
+        assert act_hf(tower.levels[3], level_swap(tower, 0)) == tower.levels[3]
+        assert "_act" in calls and "__eq__" in calls
 
     def test_broken_contract_is_refused(self):
         def tower(*pairs):

@@ -26,7 +26,6 @@ from atomlab.atom_action import (
     hf_to_json,
     orbit,
     pointwise_stabilizer,
-    sort_key,
     stabilizer_in,
 )
 from atomlab.errors import CertificateError, UsageError
@@ -42,11 +41,13 @@ from atomlab.thin_ideal import certificate_violations, density_d_k, log_star_p
 from atomlab.verify import (
     group_oracle,
     iterated_log_star,
+    orbit_built_instance,
     random_dag,
     random_hf,
     random_reduction_instance,
     random_vector,
     support_oracle,
+    transporters_match_the_lifts,
     tree_act,
     tree_atoms,
 )
@@ -238,40 +239,6 @@ def test_orbit_and_stabilizer_over_ann_s_match_the_listed_group(p, horizon, seed
     assert {g.coords for g in stabilizer_in(x, sub).elements()} == want_fixers
 
 
-def orbit_built_instance(rng, p, horizon):
-    """(x, S): x is a subset of the orbit of a random object, or a tuple of
-    two, each the union of the <g>-orbits of one or two members for a
-    random g in Ann(S), so g fixes it.  Random objects rarely have a
-    proper stabilizer, and these more often do.  Each vector of S has an entry
-    at a pivot of the object's footprint, so that the complement's basis
-    carries terms at the pivots of S.  Only oracles list and act."""
-    base = random_hf(rng, p, horizon, 2)
-    pivots = [w.lead_index for w in span_of((a.w for a in atoms_of(base)), p).basis]
-    s = []
-    for _ in range(rng.randint(0, min(2, len(pivots)))):
-        coords = {i: rng.randrange(p) for i in range(horizon)}
-        coords[rng.choice(pivots)] = rng.randrange(1, p)
-        s.append(Vector.from_dict(p, coords))
-    members, _ = group_oracle(base, span_of([], p), horizon, p)
-    members = sorted(members, key=sort_key)
-
-    def subset():
-        while True:
-            coords = [rng.randrange(p) for _ in range(horizon)]
-            if all(v.dot_dense(coords) == 0 for v in s):
-                break
-        g = GroupElement.from_coords(p, coords)
-        chosen = set()
-        for m in rng.sample(members, min(len(members), rng.randint(1, 2))):
-            for _ in range(p):
-                chosen.add(m)
-                m = tree_act(m, g)
-        return FiniteSet(chosen)
-
-    x = subset() if rng.random() < 0.5 else HFTuple((subset(), subset()))
-    return x, s
-
-
 @PROPERTY
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 2**32))
 def test_queries_on_orbit_built_sets_match_the_oracles(p, horizon, seed):
@@ -281,6 +248,14 @@ def test_queries_on_orbit_built_sets_match_the_oracles(p, horizon, seed):
     assert orbit(x, sub) == want_orbit
     assert {g.coords for g in stabilizer_in(x, sub).elements()} == want_fixers
     assert is_support(s, x, horizon, p) == support_oracle(tuple(s), x, horizon, p)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 2**32))
+def test_transporters_match_acting_by_the_lifts(p, horizon, seed):
+    rng = random.Random(seed)
+    x, s = orbit_built_instance(rng, p, horizon)
+    assert transporters_match_the_lifts(rng, x, s, horizon, p)
 
 
 @PROPERTY
